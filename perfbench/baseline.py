@@ -65,14 +65,11 @@ def git_commit() -> str | None:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--workload", action="append",
-                    help="limit to these workloads (default: all)")
-    ap.add_argument("--no-trace", action="store_true")
     ap.add_argument("--out", type=Path)
     args = ap.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
-    names = args.workload or [w["name"] for w in spec["workloads"]]
+    names = [w["name"] for w in spec["workloads"]]
     report = {"context": {"python": platform.python_version(), "nproc": os.cpu_count(),
                           "git_commit": git_commit(), "src_loc": source_lines(),
                           "run_seconds": spec["run_seconds"], "runs": args.runs},
@@ -92,8 +89,7 @@ def main() -> int:
             stats = summary([r["metrics"][metric]["value"] for r in runs])
             entry["end_to_end"][metric] = {
                 "unit": runs[0]["metrics"][metric]["unit"], **stats, "bound": bound}
-            steady = metric == "setup_s" or (stats["spread"] is not None
-                                             and stats["spread"] < bound / 3)
+            steady = stats["spread"] is not None and stats["spread"] < bound / 3
             ok &= steady
             print(f"  {name:12s} {metric:16s} median={stats['median']:<12.5g} "
                   f"spread={stats['spread']} bound/3={bound / 3:.4f}"
@@ -105,10 +101,9 @@ def main() -> int:
         entry["ungated"] = {metric: {"unit": unit.rstrip(":"), **summary(values)}
                             for metric, (unit, values) in ungated.items()}
         ok &= entry["correct"]
-        if not args.no_trace:
-            traced = run(spec, name, 1, 1)
-            entry["per_layer"] = {k: v["value"] for k, v in traced["metrics"].items()}
-            entry["trace_notes"] = traced["notes"]
+        traced = run(spec, name, 1, 1)
+        entry["per_layer"] = {k: v["value"] for k, v in traced["metrics"].items()}
+        entry["trace_notes"] = traced["notes"]
         report["workloads"][name] = entry
     if args.out:
         args.out.write_text(json.dumps(report, indent=1) + "\n")

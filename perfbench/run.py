@@ -45,7 +45,11 @@ import workloads as wl
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT_DIR = ROOT / ".bench_build" / "perfbench"
-SETUP_REPEATS = 3  # set-up runs per run: this process and two children
+# Set-up samples per run: this process's and those of fresh child processes,
+# at least SETUP_MIN_SAMPLES and until the children have taken SETUP_BUDGET_S.
+# A short set-up is noisier, and gets more samples.
+SETUP_MIN_SAMPLES = 3
+SETUP_BUDGET_S = 3.0
 TRACE_SURVEY_ROWS = 8192  # the traced survey run covers this row prefix
 TAIL_BEYOND = 10  # the tail percentile keeps this many samples beyond it
 
@@ -91,18 +95,25 @@ class Tally:
 
     def __init__(self):
         self.latencies: list[float] = []  # speed-scaled; interrupted ones as measured
+        self.done: list[float] = []  # speed-scaled latencies of completed requests
         self.raw: list[float] = []  # wall seconds as measured
         self.factors: list[float] = []  # host-speed factors of completed requests
         self.completed = 0
         self.interrupted = 0
         self.wrong: list[str] = []  # labels of wrong outputs
         self.failed = 0  # requests whose output was wrong
-        self.unchecked = 0
+        self.unchecked = 0  # survey rows completed but cut off from their chunk's check
+        self.unreached = 0  # survey rows after an interrupted row, never run
         self.output_bytes = 0
 
     @property
     def attempted(self) -> int:
-        return len(self.latencies)
+        return len(self.latencies) + self.unreached
+
+    @property
+    def succeeded(self) -> int:
+        """Requests answered within the deadline with a checked, right output."""
+        return self.completed - self.failed - self.unchecked
 
     def fail(self, label: str, requests: int = 1) -> None:
         self.wrong.append(label)
@@ -112,6 +123,7 @@ class Tally:
         self.raw.append(secs)
         self.latencies.append(secs if interrupted else secs * factor)
         if not interrupted:
+            self.done.append(secs * factor)
             self.factors.append(factor)
 
     def record(self, key: str, argv, status, out: str, secs: float, expected,
@@ -122,19 +134,19 @@ class Tally:
             return
         self.completed += 1
         self.output_bytes += len(out)
-        if expected is None:
-            self.unchecked += 1
-        elif [status, wl.digest(argv, out)] != expected:
+        if [status, wl.digest(argv, out)] != expected:
             self.fail(key)
 
     def merge(self, other: "Tally") -> None:
         self.latencies += other.latencies
+        self.done += other.done
         self.raw += other.raw
         self.completed += other.completed
         self.interrupted += other.interrupted
         self.wrong += other.wrong
         self.failed += other.failed
         self.unchecked += other.unchecked
+        self.unreached += other.unreached
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -205,37 +217,43 @@ class Bench:
         self.seed = seed
         self.calibrated = False  # scale times by the host's speed (not while tracing)
         self.expected = load_expected()
-        before = wl.calibrate()
-        t0 = time.perf_counter()
-        self.cli = import_cli()
+        # The host's speed changes within a set-up, so each step is scaled
+        # by the calibration loops around it, as a request is.
+        self.cli, _, setup_s = self._step(import_cli)
         self.run = run_command(self.cli)
         wl.install_deadline_handler()
-        self.docs = {(n, d, k): wl.document(n, d, k)
-                     for n in self.workload.ns for d in self.workload.densities
-                     for k in range(wl.POOL)}
-        waited = self._warm_up()
-        elapsed = time.perf_counter() - t0
-        # scaled like request times, except the time spent waiting out deadlines
-        factor = 2 * wl.CAL_REF_S / (before + wl.calibrate())
-        self.setup_s = (elapsed - waited) * factor + waited
+        self.docs = {}
+        for key in [(n, d, k) for n in self.workload.ns for d in self.workload.densities
+                    for k in range(wl.POOL)]:
+            self.docs[key], _, secs = self._step(wl.document, *key)
+            setup_s += secs
+        self.setup_s = setup_s + self._warm_up()
         self.calibrated = True
         gc.collect()
         gc.freeze()  # set-up objects stay out of the collections below
 
+    @staticmethod
+    def _step(fn, *args, **kwargs):
+        """Run one set-up step; returns its result and its seconds as
+        measured and as scaled by the host's speed around it."""
+        before = wl.calibrate()
+        t0 = time.perf_counter()
+        result = fn(*args, **kwargs)
+        secs = time.perf_counter() - t0
+        return result, secs, secs * 2 * wl.CAL_REF_S / (before + wl.calibrate())
+
     def _warm_up(self) -> float:
-        """One untimed request per distinct (command, n); returns the seconds
-        spent in warm-ups that the deadline interrupted."""
+        """One request per distinct (command, n); returns its set-up seconds."""
         w = self.workload
         if w.name == "survey-n4":
-            self.survey_pass(Tally(), stop_rows=wl.SURVEY_CHUNK)
-            return 0.0
-        waited = 0.0
+            return self._step(self.survey_pass, Tally(), stop_rows=wl.SURVEY_CHUNK)[2]
+        total = 0.0
         for n in w.ns:
             for cmd in w.commands:
-                status, _, secs = wl.call(self.run, cmd, wl.warmup_document(n), w.deadline_s)
-                if status is None:
-                    waited += secs
-        return waited
+                (status, _, _), secs, scaled = self._step(
+                    wl.call, self.run, cmd, wl.warmup_document(n), w.deadline_s)
+                total += secs if status is None else scaled  # a deadline wait is not scaled
+        return total
 
     # -- cli workloads --------------------------------------------------
     def rounds(self):
@@ -259,7 +277,7 @@ class Bench:
     def request(self, tally: Tally, n, density, k, argv) -> float:
         key = wl.request_key(n, density, k, argv)
         table = self.expected["kernels" if self.workload.name == "cli-kernels" else "large"]
-        if key not in table:
+        if table.get(key) is None:
             fail(f"no recorded expectation for {key}; rerun record.py")
         gc.collect()  # untimed: each request starts on a collected heap, as in a fresh CLI
         before = wl.calibrate() if self.calibrated else 0.0
@@ -270,12 +288,14 @@ class Bench:
         return secs if status is not None else None
 
     def measure(self, seconds: float) -> tuple[Tally, float]:
-        """Run for about ``seconds``: the survey until a chunk edge past it,
-        CLI workloads in whole rounds, ending on the round edge nearest to it."""
+        """Run for about ``seconds``: the survey for one whole pass, so that its
+        totals are checked, and on until a chunk edge past ``seconds``; CLI
+        workloads in whole rounds, ending on the round edge nearest to it."""
         tally = Tally()
         t0 = time.perf_counter()
         if self.workload.name == "survey-n4":
             end = t0 + seconds
+            self.survey_pass(tally)
             while time.perf_counter() < end:
                 self.survey_pass(tally, end=end)
             return tally, time.perf_counter() - t0
@@ -301,11 +321,13 @@ class Bench:
                                    self.workload.deadline_s, stdout=out)
         except StopRun:
             return time.perf_counter() - t0
-        if status is None:  # a row ran past the deadline
+        if status is None:  # a row ran past the deadline and ended the pass
+            # the rows of its chunk cannot be checked, and the rest never ran
             tally.unchecked += len(out.chunk)
             out.scale_chunk(out.cal_prev)
             tally.time(time.perf_counter() - out.last, 1.0, interrupted=True)
             tally.interrupted += 1
+            tally.unreached += max(expect["rows"] - out.rows - 1, 0)
         elif status != 0:
             tally.fail(f"survey exit status {status}", len(out.chunk))
         else:
@@ -392,7 +414,8 @@ class SurveyOut:
 def setup_samples(bench: Bench, args) -> list[float]:
     """This process's set-up time and that of fresh child processes."""
     samples = [bench.setup_s]
-    for _ in range(SETUP_REPEATS - 1):
+    t0 = time.perf_counter()
+    while len(samples) < SETUP_MIN_SAMPLES or time.perf_counter() - t0 < SETUP_BUDGET_S:
         proc = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
              "--seed", str(args.seed), "--setup-only"],
@@ -406,14 +429,15 @@ def setup_samples(bench: Bench, args) -> list[float]:
 def end_to_end(bench: Bench, args) -> tuple[dict, Tally, list[str]]:
     setups = setup_samples(bench, args)
     tally, wall = bench.measure(args.seconds)
-    pct = tail_percentile(tally.attempted)
+    pct = tail_percentile(len(tally.latencies))
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    ok = tally.completed - tally.failed
+    ok = tally.succeeded
     metrics = {
         "setup_s": (statistics.median(setups), "s"),
         "requests_per_s": (tally.completed / math.fsum(tally.latencies), "1/s"),
         "latency_p50_ms": (quantile(tally.latencies, 0.5) * 1e3, "ms"),
         "latency_p90_ms": (quantile(tally.latencies, 0.9) * 1e3, "ms"),
+        "completed_p90_ms": (quantile(tally.done, 0.9) * 1e3, "ms"),
         "success_ratio": (ok / tally.attempted, "ratio"),
         "peak_rss_mb": (rss_mb, "MiB"),
     }
@@ -421,10 +445,11 @@ def end_to_end(bench: Bench, args) -> tuple[dict, Tally, list[str]]:
         f"# {bench.workload.name} seed={args.seed}: {tally.attempted} requests in "
         f"{wall:.1f}s; {tally.completed} completed, {tally.interrupted} interrupted at "
         f"the {bench.workload.deadline_s}s deadline, {tally.failed} wrong, "
-        f"{tally.unchecked} unchecked",
+        f"{tally.unchecked} unchecked and {tally.unreached} never run after an "
+        f"interrupted survey row",
         f"# setup_s samples: {', '.join(f'{s:.3f}' for s in setups)}",
         f"# latency_tail_ms {quantile(tally.latencies, pct / 100) * 1e3:.6g} ms: "
-        f"p{pct:g} of {tally.attempted} samples",
+        f"p{pct:g} of {len(tally.latencies)} samples",
         f"# as measured, unscaled: {tally.completed / wall:.5g} requests/s of wall time, "
         f"p50 {quantile(tally.raw, 0.5) * 1e3:.5g} ms, "
         f"p{pct:g} {quantile(tally.raw, pct / 100) * 1e3:.5g} ms; "

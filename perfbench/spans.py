@@ -24,6 +24,7 @@ from array import array
 from collections import defaultdict
 from functools import cached_property, wraps
 
+PACKAGE = "neurocode"
 MODULES = ("io", "codes", "ideals", "complexes", "classify", "survey", "cli")
 
 # Per-element helpers, not traced (see the module docstring).
@@ -258,8 +259,8 @@ class Tracer:
             self._restore.append((owner, key, vars(owner)[key]))
             setattr(owner, key, new)
 
-    def install(self, package: str = "neurocode") -> None:
-        mods = {m: sys.modules[f"{package}.{m}"] for m in MODULES}
+    def install(self) -> None:
+        mods = {m: sys.modules[f"{PACKAGE}.{m}"] for m in MODULES}
         wrapped = {}  # original object -> wrapper
         for short, mod in mods.items():
             for attr, obj in vars(mod).items():
@@ -278,7 +279,7 @@ class Tracer:
         # every namespace that imported a wrapped function by name, and the
         # module-level dispatch tables (such as cli's method tables)
         for name, mod in list(sys.modules.items()):
-            if name != package and not name.startswith(package + "."):
+            if name != PACKAGE and not name.startswith(PACKAGE + "."):
                 continue
             for attr, obj in list(vars(mod).items()):
                 if inspect.isfunction(obj) and obj in wrapped:
@@ -309,12 +310,12 @@ class Tracer:
         return len(self.span_name)
 
 
-def namespace_snapshot(package: str = "neurocode") -> dict:
+def namespace_snapshot() -> dict:
     """Every module attribute, dict item and class attribute of the package,
     so a caller can confirm that ``uninstall`` restored them all."""
     snap = {}
     for name, mod in list(sys.modules.items()):
-        if name != package and not name.startswith(package + "."):
+        if name != PACKAGE and not name.startswith(PACKAGE + "."):
             continue
         for attr, obj in vars(mod).items():
             snap[name, attr] = obj
