@@ -35,7 +35,8 @@ print("in the neural ideal:", in_neural_ideal(phi, code))
 ###############################################################################
 # Canonical form
 # --------------
-# Found by scanning all 3**n disjoint (sigma, tau) pairs in size order.
+# The image of the complement's maximal intervals under the paper's alpha
+# map: [c, d] goes to the product of x_i (i in c) and 1 - x_j (j not in d).
 
 cf = canonical_form(code)
 print("canonical form:", ", ".join(str(p) for p in cf))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .codes import Code, Interval, _inside_checker, full_mask, neurons_from_mask
+from .codes import Code, Interval, _member_bits, full_mask, neurons_from_mask, submasks
 from .complexes import (
     PolarFace,
     complex_of_ideal,
@@ -324,11 +324,34 @@ class DictionaryReport:
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
+def _canonical_form_by_enumeration(code: Code) -> frozenset[Pseudomonomial]:
+    """Reference route for the alpha check, independent of the interval kernel.
+
+    Visits all 3**n disjoint (sigma, tau) pairs by increasing
+    |sigma| + |tau|, so minimal elements appear before anything they
+    divide and minimality reduces to a forward filter against the kept
+    list. A pair is in the ideal iff [sigma, [n] - tau] holds no codeword.
+    """
+    n = code.n
+    full = full_mask(n)
+    wb = code.word_bits
+    kept: list[tuple[int, int]] = []
+    for support in sorted(range(1 << n), key=int.bit_count):
+        for sigma in submasks(support):
+            tau = support ^ sigma
+            if _member_bits(sigma, full ^ tau) & wb == 0 and not any(
+                    ps & ~sigma == 0 and pt & ~tau == 0 for ps, pt in kept):
+                kept.append((sigma, tau))
+    return frozenset(Pseudomonomial(s, t) for s, t in kept)
+
+
 def verify_dictionary(code: Code) -> DictionaryReport:
     """Check the code/ideal/complex correspondences end to end on one code.
 
     alpha: maximal intervals map exactly onto the canonical form of the
-        complement's neural ideal.
+        complement's neural ideal, both as computed (the image of the same
+        intervals, so this half only checks the caching) and as found by
+        an independent 3**n enumeration.
     beta: interval images are exactly the factor-complex facets, agree with
         the facets recomputed through the factor ideal, and are effective.
     maximality: for every interval of the code, interval maximality,
@@ -349,10 +372,12 @@ def verify_dictionary(code: Code) -> DictionaryReport:
     miv = code.maximal_intervals
     alpha_img = frozenset(interval_to_pm(iv, n) for iv in miv)
     cf_comp = canonical_form(comp).elements
-    ok = alpha_img == cf_comp
+    reference = _canonical_form_by_enumeration(comp)
+    ok = alpha_img == cf_comp == reference
     checks.append(DictionaryCheck(
         "alpha", ok,
-        None if ok else f"difference {sorted(map(str, alpha_img ^ cf_comp))}"))
+        None if ok else f"difference {sorted(map(str, alpha_img ^ cf_comp))}, "
+                        f"from enumeration {sorted(map(str, alpha_img ^ reference))}"))
 
     fc = factor_complex(code)
     beta_img = frozenset(iv.hi | (full & ~iv.lo) << n for iv in miv)
@@ -368,10 +393,10 @@ def verify_dictionary(code: Code) -> DictionaryReport:
     facetset = fc.facets
     miv_pairs = {(iv.lo, iv.hi) for iv in miv}
     cf_pairs = {(pm.sigma, pm.tau) for pm in cf_comp}
-    inside = _inside_checker(code)
+    wb = code.word_bits
     for c in code.word_list:
         for d in code.word_list:
-            if c & ~d or not inside(c, d):
+            if c & ~d or _member_bits(c, d) & ~wb:
                 continue
             m1 = (c, d) in miv_pairs
             m2 = (c, full & ~d) in cf_pairs

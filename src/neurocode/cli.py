@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from .classify import (
     ClassificationReport,
@@ -105,17 +106,56 @@ def _read_code(args) -> Code:
 
 
 def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    # Written as it is encoded, so the document text never exists in full;
+    # the bytes are json.dumps(doc, indent=2) plus a newline. The encoder
+    # yields tokens of a few characters; joining them into batches keeps
+    # an in-memory stdout (io.StringIO holds every write until it joins
+    # them) from holding one string object per token.
+    write = sys.stdout.write
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    for first in chunks:
+        write(first + "".join(islice(chunks, 4095)))
+    write("\n")
+
+
+class _Rendered(list):
+    """A JSON array whose entries are rendered one at a time while
+    ``_emit_json`` writes them, so a large document never exists in full
+    as Python objects.
+
+    It holds the source items (so its length, and whether it is empty, are
+    right); iterating it, which is how the incremental encoder behind
+    ``JSONEncoder.iterencode`` walks an array, yields the rendered entries.
+    """
+
+    def __init__(self, items, render):
+        super().__init__(items)
+        self._render = render
+
+    def __iter__(self):
+        return map(self._render, list.__iter__(self))
+
+
+def _mask_json(mask: int) -> list[int]:
+    return list(neurons_from_mask(mask))
 
 
 def _words_json(code: Code) -> list[list[int]]:
-    return [list(neurons_from_mask(w)) for w in code.word_list]
+    return _Rendered(code.word_list, _mask_json)
 
 
 def _pm_json(pm) -> dict:
     return {"sigma": list(neurons_from_mask(pm.sigma)),
             "tau": list(neurons_from_mask(pm.tau)),
             "text": str(pm)}
+
+
+def _interval_json(iv) -> dict:
+    return {"lo": _mask_json(iv.lo), "hi": _mask_json(iv.hi)}
+
+
+def _prime_json(p) -> dict:
+    return {"pos": _mask_json(p.pos), "neg": _mask_json(p.neg), "text": str(p)}
 
 
 def _face_json(face: PolarFace) -> dict:
@@ -138,7 +178,7 @@ def _cmd_cf(args, code: Code) -> int:
     elems = sorted(cf.elements)
     if args.json:
         doc = _base_doc("cf", code)
-        doc["canonical_form"] = [_pm_json(pm) for pm in elems]
+        doc["canonical_form"] = _Rendered(elems, _pm_json)
         _emit_json(doc)
     else:
         for pm in elems:
@@ -150,9 +190,7 @@ def _cmd_intervals(args, code: Code) -> int:
     ivs = sorted(code.maximal_intervals)
     if args.json:
         doc = _base_doc("intervals", code)
-        doc["maximal_intervals"] = [
-            {"lo": list(neurons_from_mask(iv.lo)),
-             "hi": list(neurons_from_mask(iv.hi))} for iv in ivs]
+        doc["maximal_intervals"] = _Rendered(ivs, _interval_json)
         _emit_json(doc)
     else:
         for iv in ivs:
@@ -164,10 +202,7 @@ def _cmd_decompose(args, code: Code) -> int:
     primes = sorted(primary_decomposition(code))
     if args.json:
         doc = _base_doc("decompose", code)
-        doc["primes"] = [
-            {"pos": list(neurons_from_mask(p.pos)),
-             "neg": list(neurons_from_mask(p.neg)),
-             "text": str(p)} for p in primes]
+        doc["primes"] = _Rendered(primes, _prime_json)
         _emit_json(doc)
     else:
         for p in primes:
@@ -279,14 +314,16 @@ def _cmd_survey(args) -> int:
     out.write(f"# survey n={args.n}: {2 ** (1 << args.n) - 2} codes\n")
     out.write("# columns: id max_codewords max_intervals cf_size "
               "cf_nonmonomials ic mic\n")
-    rows = []
-    for r in rows_iter:
-        rows.append(r)
-        out.write(f"{r.code_id} {r.max_codewords} {r.max_intervals} "
-                  f"{r.cf_size} {r.cf_nonmonomials} "
-                  f"{'true' if r.ic else 'false'} "
-                  f"{'true' if r.mic else 'false'}\n")
-    summary = summarize(rows)
+
+    def written_rows():
+        for r in rows_iter:
+            out.write(f"{r.code_id} {r.max_codewords} {r.max_intervals} "
+                      f"{r.cf_size} {r.cf_nonmonomials} "
+                      f"{'true' if r.ic else 'false'} "
+                      f"{'true' if r.mic else 'false'}\n")
+            yield r
+
+    summary = summarize(written_rows())
     out.write(f"# codes: {summary.codes}\n")
     out.write(f"# intersection_complete: {summary.ic_count}\n")
     out.write(f"# max_intersection_complete: {summary.mic_count}\n")

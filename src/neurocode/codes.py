@@ -3,7 +3,9 @@
 A code on ``n`` neurons is a nonempty, proper collection of subsets of
 {1, .., n}. Subsets are packed into integer masks (bit ``i - 1`` encodes
 neuron ``i``), which keeps subset tests O(1) and every value hashable
-and immutable. All operations here are pure functions of their inputs;
+and immutable. A set of words is in turn one bitset over the 2**n subsets
+(``Code.word_bits``), on which the interval and codeword kernels run as
+shift/AND steps. All operations here are pure functions of their inputs;
 cached attributes are write-once and safe to share across threads.
 """
 
@@ -14,10 +16,6 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 MAX_NEURONS = 16
-
-# Interval membership is table driven up to this size; the member bitsets
-# still fit comfortably in machine words and 4**n table builds stay cheap.
-_TABLE_MAX_N = 8
 
 
 class InvalidCodeError(ValueError):
@@ -62,45 +60,84 @@ def submasks(mask: int) -> Iterator[int]:
 
 
 @lru_cache(maxsize=None)
-def _masks_by_popcount(n: int) -> tuple[int, ...]:
-    return tuple(sorted(range(1 << n), key=int.bit_count))
+def _clear_masks(n: int) -> tuple[int, ...]:
+    """Bitsets over the 2**n subsets: entry i marks the words without neuron i + 1."""
+    size = 1 << n
+    out = []
+    for i in range(n):
+        step = 1 << i
+        bits = (1 << step) - 1
+        width = 2 * step
+        while width < size:
+            bits |= bits << width
+            width *= 2
+        out.append(bits)
+    return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _interval_bits(n: int) -> dict[tuple[int, int], int]:
-    """(lo, hi) -> bitset over 2**n marking the members of [lo, hi]."""
-    table = {}
-    for hi in range(1 << n):
-        lo = hi
-        while True:
-            bits = 0
-            for s in submasks(hi ^ lo):
-                bits |= 1 << (lo | s)
-            table[lo, hi] = bits
-            if lo == 0:
-                break
-            lo = (lo - 1) & hi
-    return table
+def _member_bits(lo: int, hi: int) -> int:
+    """The members of [lo, hi] as a bitset over the cube, one shift per free neuron."""
+    bits = 1 << lo
+    free = hi ^ lo
+    while free:
+        low = free & -free
+        free ^= low
+        bits |= bits << low
+    return bits
 
 
-def _inside_checker(code: "Code"):
-    """Raw-mask interval containment test for a fixed code.
+def _set_bits(bits: int) -> Iterator[int]:
+    """Positions of the set bits of a nonnegative integer, ascending."""
+    digits = bin(bits)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
-    Returns inside(c, d), true iff every word of [c, d] is a codeword;
-    table driven for small n, submask scan otherwise.
+
+def _maximal_members(masks: list[int]) -> list[int]:
+    """The masks of a family of distinct masks that lie inside no other one.
+
+    Bit-parallel over the family: holders[v] is the bitset of positions j
+    whose mask contains vertex v, so the members containing masks[j] are
+    the intersection of holders[v] over v in masks[j], and masks[j] is
+    maximal iff that intersection is j alone.
     """
-    if code.n <= _TABLE_MAX_N:
-        table = _interval_bits(code.n)
-        wb = code.word_bits
+    if len(masks) < 2:
+        return list(masks)
+    holders: dict[int, int] = {}  # keyed by the vertex's bit
+    for j, m in enumerate(masks):
+        own = 1 << j
+        while m:
+            low = m & -m
+            m ^= low
+            holders[low] = holders.get(low, 0) | own
+    out = []
+    for j, m in enumerate(masks):
+        own = 1 << j
+        above = -1  # every member contains the empty mask
+        while m:
+            low = m & -m
+            m ^= low
+            above &= holders[low]
+            if above == own:
+                out.append(masks[j])
+                break
+    return out
 
-        def inside(c: int, d: int) -> bool:
-            return table[c, d] & ~wb == 0
-    else:
-        member = code.words.__contains__
 
-        def inside(c: int, d: int) -> bool:
-            return all(member(c | s) for s in submasks(d ^ c))
-    return inside
+def _minimal_members(masks: list[int]) -> list[int]:
+    """The masks of a family of distinct masks that contain no other one:
+    the complements of the maximal members of the complements."""
+    union = 0
+    for m in masks:
+        union |= m
+    return [union ^ m for m in _maximal_members([union ^ m for m in masks])]
+
+
+def _is_antichain(masks: list[int]) -> bool:
+    """True iff no mask of the family of distinct masks lies inside another."""
+    return len(_maximal_members(masks)) == len(masks)
 
 
 @dataclass(frozen=True, order=True)
@@ -190,10 +227,20 @@ class Code:
 
     @cached_property
     def maximal_codewords(self) -> frozenset[int]:
-        """Codewords maximal under inclusion; always a nonempty antichain."""
-        words = self.word_list
-        return frozenset(
-            w for w in words if not any(w != v and w & ~v == 0 for v in words))
+        """Codewords maximal under inclusion; always a nonempty antichain.
+
+        The words strictly below some codeword are the down-closure of the
+        codewords with one neuron dropped; the down-closure drops each
+        neuron in turn (2n shift steps over ``word_bits`` in all).
+        """
+        wb = self.word_bits
+        below = 0
+        clear = _clear_masks(self.n)
+        for i, keep in enumerate(clear):
+            below |= (wb & ~keep) >> (1 << i)
+        for i, keep in enumerate(clear):
+            below |= (below & ~keep) >> (1 << i)
+        return frozenset(_set_bits(wb & ~below))
 
     def contains_interval(self, iv: Interval) -> bool:
         """True iff every member of ``iv`` is a codeword."""
@@ -201,45 +248,37 @@ class Code:
         if iv.hi & ~full:
             raise ValueError(
                 f"interval endpoint {iv.hi} does not fit {self.n} neurons")
-        if self.n <= _TABLE_MAX_N:
-            return _interval_bits(self.n)[iv.lo, iv.hi] & ~self.word_bits == 0
-        return all(iv.lo | s in self.words for s in submasks(iv.hi ^ iv.lo))
+        return _member_bits(iv.lo, iv.hi) & ~self.word_bits == 0
 
     @cached_property
     def maximal_intervals(self) -> frozenset[Interval]:
         """Intervals of the code that are maximal under interval containment.
 
-        Candidate endpoints range over codeword pairs c <= d, since the
-        endpoints of an interval are among its members. A candidate is
-        maximal iff no single-step widening (dropping one element of lo,
-        or adding one missing element to hi) stays inside the code; any
-        strictly larger interval of the code reaches it by such steps.
+        A depth-first walk over free sets F carries the bitset I[F] of lower
+        endpoints c (disjoint from F) with [c, c | F] inside the code:
+        I[{}] is ``word_bits`` and I[F + i] = I[F] & (I[F] >> 2**i) with
+        neuron i cleared. Any strictly larger interval of the code is
+        reached by single-step widenings, and widening [c, c | F] by a
+        neuron i outside F stays inside the code iff c ^ 2**i is in I[F];
+        so c is maximal iff that fails for every such i. Only the bitsets
+        on the current path are alive.
         """
         n = self.n
-        full = full_mask(n)
-        words = self.word_list
-        inside = _inside_checker(self)
-        out = []
-        for c in words:
-            for d in words:
-                if c & ~d or not inside(c, d):
+        clear = _clear_masks(n)
+        out: list[Interval] = []
+
+        def visit(lows: int, free: int, start: int) -> None:
+            blocked = 0
+            for i in range(n):
+                step = 1 << i
+                if free & step:
                     continue
-                widened = False
-                m = c
-                while m:
-                    bit = m & -m
-                    m ^= bit
-                    if inside(c ^ bit, d):
-                        widened = True
-                        break
-                if not widened:
-                    m = full & ~d
-                    while m:
-                        bit = m & -m
-                        m ^= bit
-                        if inside(c, d | bit):
-                            widened = True
-                            break
-                if not widened:
-                    out.append(Interval(c, d))
+                pairs = lows & (lows >> step) & clear[i]
+                if pairs:
+                    blocked |= pairs | pairs << step
+                    if i >= start:
+                        visit(pairs, free | step, i + 1)
+            out.extend(Interval(c, c | free) for c in _set_bits(lows & ~blocked))
+
+        visit(self.word_bits, 0, 0)
         return frozenset(out)

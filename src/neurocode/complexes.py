@@ -11,7 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .codes import Code, Interval, full_mask, neurons_from_mask
+from .codes import (
+    _is_antichain,
+    _maximal_members,
+    _minimal_members,
+    Code,
+    Interval,
+    full_mask,
+    neurons_from_mask,
+)
 from .ideals import (
     CapExceededError,
     Pseudomonomial,
@@ -76,6 +84,20 @@ class Universe:
         return (1 << self.size) - 1
 
 
+def _check_faces(universe: Universe, faces) -> None:
+    full = universe.full
+    for f in faces:
+        if f < 0 or f & ~full:
+            raise ValueError(f"facet {f} outside the universe")
+
+
+def _check_supports(universe: Universe, supports) -> None:
+    full = universe.full
+    for g in supports:
+        if g <= 0 or g & ~full:
+            raise ValueError(f"generator support {g} invalid for the universe")
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A complex stored by its facets over a declared universe.
@@ -90,20 +112,16 @@ class SimplicialComplex:
     def __post_init__(self) -> None:
         facets = frozenset(self.facets)
         object.__setattr__(self, "facets", facets)
-        full = self.universe.full
-        for f in facets:
-            if f < 0 or f & ~full:
-                raise ValueError(f"facet {f} outside the universe")
-        for f in facets:
-            if any(f != g and f & ~g == 0 for g in facets):
-                raise ValueError("facets must form an antichain")
+        _check_faces(self.universe, facets)
+        if not _is_antichain(list(facets)):
+            raise ValueError("facets must form an antichain")
 
     @classmethod
     def from_faces(cls, universe: Universe, faces: Iterable[int]) -> "SimplicialComplex":
         """Build from any face family by keeping the maximal ones."""
         fs = set(faces)
-        return cls(universe, frozenset(
-            f for f in fs if not any(f != g and f & ~g == 0 for g in fs)))
+        _check_faces(universe, fs)  # the filter needs nonnegative masks
+        return cls(universe, frozenset(_maximal_members(list(fs))))
 
     def is_face(self, mask: int) -> bool:
         return any(mask & ~f == 0 for f in self.facets)
@@ -125,20 +143,16 @@ class SquarefreeMonomialIdeal:
     def __post_init__(self) -> None:
         gens = frozenset(self.generators)
         object.__setattr__(self, "generators", gens)
-        full = self.universe.full
-        for g in gens:
-            if g <= 0 or g & ~full:
-                raise ValueError(f"generator support {g} invalid for the universe")
-        for g in gens:
-            if any(g != h and g & ~h == 0 for h in gens):
-                raise ValueError("generators must form an antichain")
+        _check_supports(self.universe, gens)
+        if not _is_antichain(list(gens)):
+            raise ValueError("generators must form an antichain")
 
     @classmethod
     def from_supports(cls, universe: Universe, supports: Iterable[int]) -> "SquarefreeMonomialIdeal":
         """Build from any support family by keeping the minimal ones."""
         sup = set(supports)
-        return cls(universe, frozenset(
-            g for g in sup if not any(h != g and h & ~g == 0 for h in sup)))
+        _check_supports(universe, sup)  # the filter needs nonnegative masks
+        return cls(universe, frozenset(_minimal_members(list(sup))))
 
     def contains_monomial(self, support: int) -> bool:
         """Squarefree monomial membership: some generator divides it."""
@@ -321,8 +335,7 @@ def prime_sets(code: Code, minimal_only: bool = True) -> frozenset[PolarFace]:
     found = [b for b in range(1 << n)
              if not any((full | b << n) & ~f == 0 for f in facets)]
     if minimal_only:
-        found = [b for b in found
-                 if not any(c != b and c & ~b == 0 for c in found)]
+        found = _minimal_members(found)
     result = frozenset(PolarFace(0, b) for b in found)
     code.__dict__[key] = result
     return result

@@ -1,9 +1,10 @@
 """Pseudomonomials, neural ideals, canonical forms, prime decompositions.
 
 Ideals are carried extensionally. The neural ideal of a code is determined
-by its zero set (the code itself), so membership, canonical forms and
-decompositions are decided by scanning codewords; no polynomial arithmetic
-is ever performed.
+by its zero set (the code itself), so membership is decided on the code's
+word bitset, and canonical forms and decompositions are read off the
+maximal intervals of the complement and of the code; no polynomial
+arithmetic is ever performed.
 """
 
 from __future__ import annotations
@@ -11,18 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import (
-    _TABLE_MAX_N,
-    _interval_bits,
-    _masks_by_popcount,
+    _is_antichain,
+    _member_bits,
     Code,
     Interval,
     full_mask,
     neurons_from_mask,
-    submasks,
 )
 
-# Canonical forms scan all 3**n disjoint (sigma, tau) pairs; the cap guards
-# against accidental blowup, not against any interesting input.
+# The cap, and the wording of its refusal, date from an exhaustive 3**n
+# canonical-form scan; both stay as they are until the cap is lifted.
 CF_MAX_N = 12
 
 
@@ -99,11 +98,10 @@ class CanonicalForm:
         for p in elems:
             if (p.sigma | p.tau) & ~full:
                 raise ValueError(f"{p} does not fit in {self.n} neurons")
-        for p in elems:
-            for q in elems:
-                if p != q and divides(p, q):
-                    raise ValueError(
-                        "canonical form must be an antichain under divisibility")
+        # divisibility is containment of sigma | tau << n
+        if not _is_antichain([p.sigma | p.tau << self.n for p in elems]):
+            raise ValueError(
+                "canonical form must be an antichain under divisibility")
 
     def monomials(self) -> frozenset[Pseudomonomial]:
         """Elements with empty tau; they generate the Stanley-Reisner ideal
@@ -153,10 +151,7 @@ def in_neural_ideal(pm: Pseudomonomial, code: Code) -> bool:
     full = full_mask(n)
     if (pm.sigma | pm.tau) & ~full:
         raise ValueError(f"{pm} does not fit in {n} neurons")
-    if n <= _TABLE_MAX_N:
-        return _interval_bits(n)[pm.sigma, full ^ pm.tau] & code.word_bits == 0
-    sigma, tau = pm.sigma, pm.tau
-    return not any(sigma & ~w == 0 and tau & w == 0 for w in code.word_list)
+    return _member_bits(pm.sigma, full ^ pm.tau) & code.word_bits == 0
 
 
 def _in_ideal_by_evaluation(pm: Pseudomonomial, code: Code) -> bool:
@@ -164,46 +159,25 @@ def _in_ideal_by_evaluation(pm: Pseudomonomial, code: Code) -> bool:
 
 
 def canonical_form(code: Code) -> CanonicalForm:
-    """Canonical form of the neural ideal, by exhaustive 3**n enumeration.
+    """Canonical form of the neural ideal: the image of the complement's
+    maximal intervals under ``interval_to_pm`` (the paper's alpha map).
 
-    Disjoint (sigma, tau) pairs are visited by increasing |sigma| + |tau|,
-    so minimal elements appear before anything they divide and minimality
-    reduces to a forward filter against the kept list. The result is
-    cached on the code (write-once, idempotent).
+    A pseudomonomial lies in the ideal iff its interval [sigma, [n] - tau]
+    holds no codeword, i.e. lies inside the complement; divisibility
+    reverses interval containment, so the minimal elements are the images
+    of the maximal intervals. The result is cached on the code
+    (write-once, idempotent).
     """
     cached = code.__dict__.get("_canonical_form")
     if cached is None:
-        cached = _compute_canonical_form(code)
+        n = code.n
+        if n > CF_MAX_N:
+            raise CapExceededError(
+                f"canonical form scans 3**n pairs; n={n} exceeds the cap of {CF_MAX_N}")
+        cached = CanonicalForm(n, frozenset(
+            interval_to_pm(iv, n) for iv in code.complement.maximal_intervals))
         code.__dict__["_canonical_form"] = cached
     return cached
-
-
-def _compute_canonical_form(code: Code) -> CanonicalForm:
-    n = code.n
-    if n > CF_MAX_N:
-        raise CapExceededError(
-            f"canonical form scans 3**n pairs; n={n} exceeds the cap of {CF_MAX_N}")
-    full = full_mask(n)
-    if n <= _TABLE_MAX_N:
-        table = _interval_bits(n)
-        wb = code.word_bits
-
-        def member(sigma: int, tau: int) -> bool:
-            return table[sigma, full ^ tau] & wb == 0
-    else:
-        words = code.word_list
-
-        def member(sigma: int, tau: int) -> bool:
-            return not any(sigma & ~w == 0 and tau & w == 0 for w in words)
-
-    kept: list[tuple[int, int]] = []
-    for support in _masks_by_popcount(n):
-        for sigma in submasks(support):
-            tau = support ^ sigma
-            if member(sigma, tau) and not any(
-                    ps & ~sigma == 0 and pt & ~tau == 0 for ps, pt in kept):
-                kept.append((sigma, tau))
-    return CanonicalForm(n, frozenset(Pseudomonomial(s, t) for s, t in kept))
 
 
 def cf_monomials(cf: CanonicalForm) -> frozenset[Pseudomonomial]:

@@ -68,6 +68,23 @@ def sample_codes(n: int, count: int, seed: int):
         yield code_from_id(n, code_id)
 
 
+def random_codes(n: int, count: int, seed: int, densities=(0.1, 0.5, 0.9)):
+    """Fixed-seed random valid codes on n neurons; each word is kept with
+    probability cycling through ``densities`` from one code to the next.
+
+    Unlike ``sample_codes`` this works for any n, and it reaches sparse and
+    dense codes, not only the half-density ones a uniform id draws.
+    """
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        density = densities[made % len(densities)]
+        words = frozenset(w for w in range(1 << n) if rng.random() < density)
+        if 0 < len(words) < 1 << n:
+            yield Code(n, words)
+            made += 1
+
+
 def disjoint_pairs(n: int):
     """All 3**n disjoint (sigma, tau) pairs."""
     for support in range(1 << n):
@@ -104,6 +121,12 @@ def oracle_canonical_form(code: Code) -> frozenset[Pseudomonomial]:
                if all(evaluate(Pseudomonomial(s, t), w) == 0 for w in code.words)]
     return frozenset(p for p in members
                      if not any(q != p and divides(q, p) for q in members))
+
+
+def oracle_maximal_codewords(code: Code) -> frozenset[int]:
+    """Pairwise inclusion test over all codeword pairs."""
+    return frozenset(w for w in code.words
+                     if not any(w != v and w & ~v == 0 for v in code.words))
 
 
 def oracle_complex_facets(generators, size: int) -> frozenset[int]:

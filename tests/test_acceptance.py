@@ -80,7 +80,8 @@ def criterion(name, limit_s):
         _emit(f"\nACCEPTANCE {name}: FAIL ({time.perf_counter() - t0:.2f}s)")
         raise
     elapsed = time.perf_counter() - t0
-    _emit(f"\nACCEPTANCE {name}: PASS ({elapsed:.2f}s, limit {limit_s:.0f}s)")
+    verdict = "PASS" if elapsed < limit_s else "FAIL"
+    _emit(f"\nACCEPTANCE {name}: {verdict} ({elapsed:.2f}s, limit {limit_s:.0f}s)")
     assert elapsed < limit_s, f"{name} exceeded its {limit_s}s target"
 
 

@@ -22,6 +22,7 @@ from oracles import (
     example_complement,
     oracle_ic,
     oracle_mic,
+    random_codes,
     replay_witness,
     sample_codes,
     validate_certificate,
@@ -207,3 +208,20 @@ class TestVerifyDictionary:
         doc = verify_dictionary(example_code()).to_dict()
         assert doc["passed"] is True
         assert all(c["passed"] for c in doc["checks"])
+
+    def test_random_varied_density(self):
+        for n in (6, 7):
+            for code in random_codes(n, 6, seed=4500 + n):
+                assert verify_dictionary(code).passed
+
+    def test_alpha_fails_when_the_kernel_drops_an_interval(self):
+        # the alpha check compares against a 3**n enumeration, so a kernel
+        # that loses an interval fails it even though the canonical form is
+        # built from the same (wrong) intervals
+        code = example_code()
+        dropped = min(code.maximal_intervals)
+        code.__dict__["maximal_intervals"] = code.maximal_intervals - {dropped}
+        report = verify_dictionary(code)
+        alpha = next(c for c in report.checks if c.name == "alpha")
+        assert not alpha.passed
+        assert not report.passed

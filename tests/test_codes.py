@@ -8,9 +8,19 @@ from oracles import (
     all_codes,
     example_code,
     example_complement,
+    oracle_maximal_codewords,
     oracle_maximal_intervals,
+    random_codes,
     sample_codes,
 )
+
+
+def oracle_corpus(n: int, seed: int):
+    """Codes for the differential tests: 150 uniform id samples where ids
+    can be drawn (n <= 5), fewer random codes of varied density above."""
+    if n <= 5:
+        return sample_codes(n, 150, seed)
+    return random_codes(n, {6: 30, 7: 12, 8: 6}[n], seed)
 
 
 class TestComplement:
@@ -109,13 +119,13 @@ class TestMaximalIntervals:
         for code in all_codes(3):
             assert code.maximal_intervals == oracle_maximal_intervals(code)
 
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_oracle_random(self, n):
-        for code in sample_codes(n, 150, seed=4200 + n):
+        for code in oracle_corpus(n, seed=4200 + n):
             assert code.maximal_intervals == oracle_maximal_intervals(code)
 
     def test_fallback_path_beyond_table(self):
-        # n = 9 exercises the submask-scan path; the oracle is scan based too
+        # n = 9, beyond the sizes the random tests reach
         code = Code(9, {0, 0b1, 0b11, 0b111, 0b100000000, 0b100000001})
         assert code.maximal_intervals == oracle_maximal_intervals(code)
 
@@ -130,6 +140,20 @@ class TestMaximalCodewords:
     def test_inclusion_scan(self):
         code = Code(3, {0, 0b001, 0b010, 0b100, 0b011, 0b101})
         assert code.maximal_codewords == {0b011, 0b101}
+
+    def test_oracle_exhaustive_n3(self):
+        for code in all_codes(3):
+            assert code.maximal_codewords == oracle_maximal_codewords(code)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_oracle_random(self, n):
+        for code in oracle_corpus(n, seed=4300 + n):
+            assert code.maximal_codewords == oracle_maximal_codewords(code)
+
+    def test_full_range(self):
+        # every word but the full one: the n words of size n - 1 are maximal
+        code = Code(16, frozenset(range((1 << 16) - 1)))
+        assert code.maximal_codewords == {0xFFFF ^ 1 << i for i in range(16)}
 
 
 class TestDownwardClosure:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from neurocode import (
+    CanonicalForm,
     CapExceededError,
     Code,
     Interval,
@@ -12,6 +13,7 @@ from neurocode import (
     SquarefreeMonomialIdeal,
     Universe,
     complex_of_ideal,
+    divides,
     face_to_interval,
     factor_complex,
     factor_ideal,
@@ -280,6 +282,88 @@ class TestTypeValidation:
         cx = SimplicialComplex(Universe(2, polar=False), frozenset({0b11}))
         with pytest.raises(ValueError):
             cx.polar_facets()
+
+
+def _families(seed: int, width: int, count: int = 300):
+    """Random mask families over ``width`` vertices, plus the edge cases."""
+    rng = random.Random(seed)
+    families = [frozenset(), frozenset({0}), frozenset({0b1}),
+                frozenset({0, 0b1}), frozenset({(1 << width) - 1})]
+    for _ in range(count):
+        size = rng.randint(0, width)
+        families.append(frozenset(
+            rng.randrange(1 << size) for _ in range(rng.randint(1, 14))))
+    return families
+
+
+def _pairwise_antichain(masks) -> bool:
+    return not any(a != b and a & ~b == 0 for a in masks for b in masks)
+
+
+class TestAntichainChecks:
+    """The bit-parallel antichain checks and filters against the pairwise
+    definition, through all three constructors."""
+
+    UNIVERSE = Universe(4, polar=True)  # 8 vertices
+
+    def test_complex_validation(self):
+        for fam in _families(9100, 8):
+            if _pairwise_antichain(fam):
+                assert SimplicialComplex(self.UNIVERSE, fam).facets == fam
+            else:
+                with pytest.raises(ValueError, match="antichain"):
+                    SimplicialComplex(self.UNIVERSE, fam)
+
+    def test_from_faces_keeps_maximal(self):
+        for fam in _families(9200, 8):
+            expected = {f for f in fam
+                        if not any(f != g and f & ~g == 0 for g in fam)}
+            assert SimplicialComplex.from_faces(self.UNIVERSE, fam).facets == expected
+
+    def test_ideal_validation(self):
+        for fam in _families(9300, 8):
+            fam = fam - {0}
+            if _pairwise_antichain(fam):
+                assert SquarefreeMonomialIdeal(self.UNIVERSE, fam).generators == fam
+            else:
+                with pytest.raises(ValueError, match="antichain"):
+                    SquarefreeMonomialIdeal(self.UNIVERSE, fam)
+
+    def test_from_supports_keeps_minimal(self):
+        for fam in _families(9400, 8):
+            fam = fam - {0}
+            expected = {g for g in fam
+                        if not any(g != h and h & ~g == 0 for h in fam)}
+            ideal = SquarefreeMonomialIdeal.from_supports(self.UNIVERSE, fam)
+            assert ideal.generators == expected
+
+    def test_filters_reject_out_of_range_input(self):
+        with pytest.raises(ValueError, match="outside the universe"):
+            SimplicialComplex.from_faces(self.UNIVERSE, {-1, 0b11})
+        with pytest.raises(ValueError, match="invalid for the universe"):
+            SquarefreeMonomialIdeal.from_supports(self.UNIVERSE, {-2, 0b1})
+        with pytest.raises(ValueError, match="invalid for the universe"):
+            SquarefreeMonomialIdeal.from_supports(self.UNIVERSE, {0b1, 1 << 8 | 0b1})
+
+    def test_canonical_form_validation(self):
+        rng = random.Random(9500)
+        n = 4
+        families = [frozenset(), frozenset({Pseudomonomial(0, 0)}),
+                    frozenset({Pseudomonomial(0, 0), Pseudomonomial(0b1, 0)}),
+                    frozenset({Pseudomonomial(0, 0), Pseudomonomial(0, 0b1)})]
+        for _ in range(300):
+            pms = set()
+            for _ in range(rng.randint(1, 10)):
+                support = rng.randrange(1 << n)
+                sigma = rng.randrange(1 << n) & support
+                pms.add(Pseudomonomial(sigma, support ^ sigma))
+            families.append(frozenset(pms))
+        for fam in families:
+            if any(p != q and divides(p, q) for p in fam for q in fam):
+                with pytest.raises(ValueError, match="antichain"):
+                    CanonicalForm(n, fam)
+            else:
+                assert CanonicalForm(n, fam).elements == fam
 
 
 class TestCorrespondenceSuite:

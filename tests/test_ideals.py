@@ -24,6 +24,7 @@ from oracles import (
     example_code,
     example_complement,
     oracle_canonical_form,
+    random_codes,
     sample_codes,
 )
 
@@ -149,6 +150,11 @@ class TestCanonicalForm:
 
     def test_oracle_random_n4(self):
         for code in sample_codes(4, 120, seed=43):
+            assert canonical_form(code).elements == oracle_canonical_form(code)
+
+    @pytest.mark.parametrize("n, count", [(6, 24), (7, 9), (8, 3)])
+    def test_oracle_random_varied_density(self, n, count):
+        for code in random_codes(n, count, seed=4400 + n):
             assert canonical_form(code).elements == oracle_canonical_form(code)
 
     def test_fallback_path_beyond_table(self):

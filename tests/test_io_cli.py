@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -259,6 +262,40 @@ class TestCliJson:
         assert run_command(["verify", "--json", "--input", example_file]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["passed"] is True
+
+
+JSON_COMMANDS = (["cf"], ["intervals"], ["decompose"], ["complexes"],
+                 ["check", "ic"], ["check", "mic"], ["verify"])
+
+
+class TestJsonBytes:
+    """Every --json document is exactly json.dumps(doc, indent=2) plus a
+    newline, however the CLI writes it."""
+
+    @pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
+    def test_command_documents(self, argv, tmp_path, capsys):
+        docs = [EXAMPLE_DOC, "n=3\n100\n011\n111\n",
+                render_code_document(next(sample_codes(5, 1, seed=77)))]
+        for i, text in enumerate(docs):
+            path = tmp_path / f"code{i}.code"
+            path.write_text(text)
+            run_command([*argv, "--json", "--input", str(path)])
+            out = capsys.readouterr().out
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_survey_document(self, capsys):
+        assert run_command(["survey", "--n", "2", "--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_benchmark_smoke_run():
+    # the n <= 3 shapes of every benchmark workload: checked CLI outputs
+    # and the per-layer tracer's install/restore
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
 class TestSurveyCli:
