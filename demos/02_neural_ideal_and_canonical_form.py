@@ -11,7 +11,6 @@ generating set that encodes the code's receptive-field relationships.
 from neurocode import (
     Code,
     canonical_form,
-    cf_monomials,
     evaluate,
     in_neural_ideal,
     indicator,
@@ -40,7 +39,7 @@ print("in the neural ideal:", in_neural_ideal(phi, code))
 
 cf = canonical_form(code)
 print("canonical form:", ", ".join(str(p) for p in cf))
-print("monomials only:", ", ".join(str(p) for p in sorted(cf_monomials(cf))))
+print("monomials only:", ", ".join(str(p) for p in sorted(cf.monomials())))
 
 ###############################################################################
 # Primary decomposition

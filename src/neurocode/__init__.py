@@ -10,6 +10,8 @@ and the factor and polar complexes obtained by polarization.
 Everything is exact, deterministic combinatorics on subset bitmasks.
 """
 
+from types import ModuleType as _ModuleType
+
 from .classify import (
     ClassificationReport,
     DictionaryCheck,
@@ -64,7 +66,6 @@ from .ideals import (
     PrimePseudomonomialIdeal,
     Pseudomonomial,
     canonical_form,
-    cf_monomials,
     divides,
     evaluate,
     in_neural_ideal,
@@ -73,11 +74,9 @@ from .ideals import (
     primary_decomposition,
 )
 from .io import (
-    CodeDocument,
     ParseError,
     ParseWarning,
     parse_code,
-    parse_document,
     render_code_document,
 )
 from .survey import (
@@ -93,73 +92,7 @@ from .survey import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CF_MAX_N",
-    "ENUM_MAX_N",
-    "MAX_NEURONS",
-    "SURVEY_MAX_N",
-    "CanonicalForm",
-    "CapExceededError",
-    "ClassificationReport",
-    "Code",
-    "CodeDocument",
-    "DictionaryCheck",
-    "DictionaryReport",
-    "FacetWitness",
-    "IntersectionWitness",
-    "Interval",
-    "InvalidCodeError",
-    "MethodDisagreement",
-    "MicCertificate",
-    "MicCertificateEntry",
-    "ParseError",
-    "ParseWarning",
-    "PolarFace",
-    "PrimePseudomonomialIdeal",
-    "Pseudomonomial",
-    "PseudomonomialWitness",
-    "SimplicialComplex",
-    "SquarefreeMonomialIdeal",
-    "SurveyRow",
-    "SurveySummary",
-    "SurveyTooLargeError",
-    "Universe",
-    "canonical_form",
-    "cf_monomials",
-    "code_from_id",
-    "complex_of_ideal",
-    "divides",
-    "downward_closure",
-    "evaluate",
-    "face_to_interval",
-    "factor_complex",
-    "factor_ideal",
-    "full_mask",
-    "ideal_of_complex",
-    "in_neural_ideal",
-    "indicator",
-    "interval_to_pm",
-    "is_effective",
-    "is_intersection_complete_bruteforce",
-    "is_intersection_complete_cf",
-    "is_intersection_complete_facets",
-    "is_mic_algebraic",
-    "is_mic_bruteforce",
-    "is_mic_facets",
-    "mask_from_neurons",
-    "minimal_transversals",
-    "neurons_from_mask",
-    "parse_code",
-    "parse_document",
-    "polar_complex",
-    "polar_ideal",
-    "polarize",
-    "primary_decomposition",
-    "prime_sets",
-    "render_code_document",
-    "sr_minimal_primes",
-    "submasks",
-    "summarize",
-    "survey",
-    "verify_dictionary",
-]
+# every public name above except the subpackage modules, so that
+# ``from neurocode import *`` never binds ``io`` or ``codes``
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

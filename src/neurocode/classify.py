@@ -270,7 +270,7 @@ def is_mic_facets(code: Code) -> ClassificationReport:
     n = code.n
     full = full_mask(n)
     comp = code.complement
-    pset_masks = sorted(pf.ypart for pf in prime_sets(comp, minimal_only=True))
+    pset_masks = sorted(pf.ypart for pf in prime_sets(comp))
     witness = None
     for fmask in sorted(factor_complex(comp).facets):
         x = fmask & full
@@ -415,7 +415,7 @@ def verify_dictionary(code: Code) -> DictionaryReport:
     mono_supports = [pm.sigma for pm in canonical_form(code).monomials()]
     gamma_actual = minimal_transversals(mono_supports)
     delta_expected = frozenset(PolarFace(0, full & ~m) for m in maxw)
-    delta_actual = prime_sets(comp, minimal_only=True)
+    delta_actual = prime_sets(comp)
     ok = gamma_expected == gamma_actual and delta_expected == delta_actual
     checks.append(DictionaryCheck(
         "gamma_delta", ok,

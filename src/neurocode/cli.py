@@ -214,7 +214,7 @@ def _cmd_complexes(args, code: Code) -> int:
     delta = sorted(downward_closure(code).facets)
     factor = _sorted_faces(factor_complex(code))
     polar = _sorted_faces(polar_complex(code))
-    psets = sorted(prime_sets(code, minimal_only=True))
+    psets = sorted(prime_sets(code))
     primes = sorted(sr_minimal_primes(code))
     if args.json:
         doc = _base_doc("complexes", code)

@@ -12,7 +12,7 @@ cached attributes are write-once and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import Iterable, Iterator
 
 MAX_NEURONS = 16
@@ -84,6 +84,23 @@ def _member_bits(lo: int, hi: int) -> int:
         free ^= low
         bits |= bits << low
     return bits
+
+
+def _memo(fn):
+    """Cache ``fn(code)`` write-once in the code's instance dict.
+
+    The wrapper keeps ``fn``'s name and module, so lookups by module and
+    name (such as the benchmark's span tracer) still find it.
+    """
+    key = "_" + fn.__name__
+
+    @wraps(fn)
+    def cached(code):
+        value = code.__dict__.get(key)
+        if value is None:
+            value = code.__dict__[key] = fn(code)
+        return value
+    return cached
 
 
 def _set_bits(bits: int) -> Iterator[int]:

@@ -14,6 +14,7 @@ from typing import Iterable
 from .codes import (
     _is_antichain,
     _maximal_members,
+    _memo,
     _minimal_members,
     Code,
     Interval,
@@ -210,19 +211,16 @@ def downward_closure(code: Code) -> SimplicialComplex:
     return SimplicialComplex(Universe(code.n, polar=False), code.maximal_codewords)
 
 
+@_memo
 def polar_ideal(code: Code) -> SquarefreeMonomialIdeal:
     """Polarization of the neural ideal: the polarized canonical form."""
-    cached = code.__dict__.get("_polar_ideal")
-    if cached is None:
-        n = code.n
-        cf = canonical_form(code)
-        cached = SquarefreeMonomialIdeal.from_supports(
-            Universe(n, polar=True),
-            (pm.sigma | pm.tau << n for pm in cf.elements))
-        code.__dict__["_polar_ideal"] = cached
-    return cached
+    n = code.n
+    return SquarefreeMonomialIdeal.from_supports(
+        Universe(n, polar=True),
+        (pm.sigma | pm.tau << n for pm in canonical_form(code).elements))
 
 
+@_memo
 def factor_ideal(code: Code) -> SquarefreeMonomialIdeal:
     """Intersection of the polarized primes of the neural ideal.
 
@@ -230,14 +228,10 @@ def factor_ideal(code: Code) -> SquarefreeMonomialIdeal:
     transversals of their variable sets (distribute one variable per
     prime, reduce to the minimal antichain).
     """
-    cached = code.__dict__.get("_factor_ideal")
-    if cached is None:
-        n = code.n
-        prime_vars = [p.pos | p.neg << n for p in primary_decomposition(code)]
-        cached = SquarefreeMonomialIdeal(
-            Universe(n, polar=True), minimal_transversals(prime_vars))
-        code.__dict__["_factor_ideal"] = cached
-    return cached
+    n = code.n
+    prime_vars = [p.pos | p.neg << n for p in primary_decomposition(code)]
+    return SquarefreeMonomialIdeal(
+        Universe(n, polar=True), minimal_transversals(prime_vars))
 
 
 def complex_of_ideal(ideal: SquarefreeMonomialIdeal) -> SimplicialComplex:
@@ -261,6 +255,7 @@ def ideal_of_complex(cx: SimplicialComplex) -> SquarefreeMonomialIdeal:
         full & ~f for f in cx.facets))
 
 
+@_memo
 def factor_complex(code: Code) -> SimplicialComplex:
     """The complex on [n] + [n-bar] whose Stanley-Reisner ideal is the
     factor ideal.
@@ -269,28 +264,20 @@ def factor_complex(code: Code) -> SimplicialComplex:
     with the barred copy of [n] - c. Every facet is effective. Cached on
     the code.
     """
-    cached = code.__dict__.get("_factor_complex")
-    if cached is None:
-        n = code.n
-        full = full_mask(n)
-        facets = frozenset(
-            iv.hi | (full & ~iv.lo) << n for iv in code.maximal_intervals)
-        cached = SimplicialComplex(Universe(n, polar=True), facets)
-        code.__dict__["_factor_complex"] = cached
-    return cached
+    n = code.n
+    full = full_mask(n)
+    return SimplicialComplex(Universe(n, polar=True), frozenset(
+        iv.hi | (full & ~iv.lo) << n for iv in code.maximal_intervals))
 
 
+@_memo
 def polar_complex(code: Code) -> SimplicialComplex:
     """The complex whose Stanley-Reisner ideal is the polar ideal.
 
     Contains the factor complex; its effective facets are exactly the
     factor complex's facets.
     """
-    cached = code.__dict__.get("_polar_complex")
-    if cached is None:
-        cached = complex_of_ideal(polar_ideal(code))
-        code.__dict__["_polar_complex"] = cached
-    return cached
+    return complex_of_ideal(polar_ideal(code))
 
 
 def is_effective(face: PolarFace, n: int) -> bool:
@@ -312,9 +299,10 @@ def face_to_interval(face: PolarFace, n: int) -> Interval:
     return Interval(full_mask(n) & ~face.ypart, face.xpart)
 
 
-def prime_sets(code: Code, minimal_only: bool = True) -> frozenset[PolarFace]:
-    """Barred sets B-bar with [n] + B-bar not a face of the code's factor
-    complex (optionally only the inclusion-minimal ones).
+@_memo
+def prime_sets(code: Code) -> frozenset[PolarFace]:
+    """The inclusion-minimal barred sets B-bar with [n] + B-bar not a face
+    of the code's factor complex.
 
     All 2**n candidates are enumerated, including the empty set (a
     prime-set exactly when [n] itself is not a face), rather than derived
@@ -326,19 +314,11 @@ def prime_sets(code: Code, minimal_only: bool = True) -> frozenset[PolarFace]:
         raise CapExceededError(
             f"prime-set enumeration scans 2**n candidates; n={n} exceeds "
             f"the cap of {ENUM_MAX_N}")
-    key = "_prime_sets_min" if minimal_only else "_prime_sets_all"
-    cached = code.__dict__.get(key)
-    if cached is not None:
-        return cached
     facets = tuple(factor_complex(code).facets)
     full = full_mask(n)
     found = [b for b in range(1 << n)
              if not any((full | b << n) & ~f == 0 for f in facets)]
-    if minimal_only:
-        found = _minimal_members(found)
-    result = frozenset(PolarFace(0, b) for b in found)
-    code.__dict__[key] = result
-    return result
+    return frozenset(PolarFace(0, b) for b in _minimal_members(found))
 
 
 def sr_minimal_primes(code: Code) -> frozenset[int]:

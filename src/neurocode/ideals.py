@@ -14,14 +14,13 @@ from dataclasses import dataclass
 from .codes import (
     _is_antichain,
     _member_bits,
+    _memo,
     Code,
     Interval,
     full_mask,
     neurons_from_mask,
 )
 
-# The cap, and the wording of its refusal, date from an exhaustive 3**n
-# canonical-form scan; both stay as they are until the cap is lifted.
 CF_MAX_N = 12
 
 
@@ -141,8 +140,8 @@ def in_neural_ideal(pm: Pseudomonomial, code: Code) -> bool:
 
     Two equivalent formulations: the pseudomonomial evaluates to 0 on every
     codeword, or the Boolean interval [sigma, [n] - tau] contains no
-    codeword. This uses the interval form; ``_in_ideal_by_evaluation`` is
-    the pointwise formulation kept as a cross-check.
+    codeword. This uses the interval form; ``tests/oracles.py`` keeps the
+    pointwise formulation (``oracle_in_neural_ideal``) as a cross-check.
 
     The unit pseudomonomial is never a member: its interval is the whole
     lattice, which always meets a nonempty code.
@@ -154,10 +153,7 @@ def in_neural_ideal(pm: Pseudomonomial, code: Code) -> bool:
     return _member_bits(pm.sigma, full ^ pm.tau) & code.word_bits == 0
 
 
-def _in_ideal_by_evaluation(pm: Pseudomonomial, code: Code) -> bool:
-    return all(evaluate(pm, w) == 0 for w in code.word_list)
-
-
+@_memo
 def canonical_form(code: Code) -> CanonicalForm:
     """Canonical form of the neural ideal: the image of the complement's
     maximal intervals under ``interval_to_pm`` (the paper's alpha map).
@@ -168,21 +164,13 @@ def canonical_form(code: Code) -> CanonicalForm:
     of the maximal intervals. The result is cached on the code
     (write-once, idempotent).
     """
-    cached = code.__dict__.get("_canonical_form")
-    if cached is None:
-        n = code.n
-        if n > CF_MAX_N:
-            raise CapExceededError(
-                f"canonical form scans 3**n pairs; n={n} exceeds the cap of {CF_MAX_N}")
-        cached = CanonicalForm(n, frozenset(
-            interval_to_pm(iv, n) for iv in code.complement.maximal_intervals))
-        code.__dict__["_canonical_form"] = cached
-    return cached
-
-
-def cf_monomials(cf: CanonicalForm) -> frozenset[Pseudomonomial]:
-    """The monomials of a canonical form."""
-    return cf.monomials()
+    n = code.n
+    if n > CF_MAX_N:
+        raise CapExceededError(
+            f"n={n} exceeds the canonical-form cap of {CF_MAX_N}: verify's reference "
+            "route and the polar complex's transversal enumeration have no bound above it")
+    return CanonicalForm(n, frozenset(
+        interval_to_pm(iv, n) for iv in code.complement.maximal_intervals))
 
 
 def primary_decomposition(code: Code) -> frozenset[PrimePseudomonomialIdeal]:

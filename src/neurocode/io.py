@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 
 from .codes import MAX_NEURONS, Code, Interval, mask_from_neurons, neurons_from_mask
 
@@ -27,16 +26,6 @@ class ParseError(ValueError):
 
 class ParseWarning(UserWarning):
     pass
-
-
-@dataclass(frozen=True)
-class CodeDocument:
-    """A scanned code file: declared n, word literals and their lines."""
-
-    n: int
-    words: tuple[str, ...]
-    source: str
-    lines: tuple[int, ...] = ()
 
 
 _N_LINE = re.compile(r"^n\s*=\s*(\d+)$")
@@ -83,16 +72,16 @@ def _parse_word(token: str, n: int) -> int:
     raise ValueError(f"cannot parse word {token!r}")
 
 
-def parse_document(text: str, source: str = "<input>") -> CodeDocument:
-    """Scan a document into its declared n and word literals.
+def parse_code(text: str, source: str = "<input>") -> Code:
+    """Parse a document into a code.
 
-    Word syntax is validated here; code-level requirements (nonempty,
-    proper) are enforced by ``parse_code``.
+    Every word is parsed once, so a syntax error anywhere wins over
+    code-level checks. Duplicate words are then dropped with a warning;
+    empty and full codes are rejected with the offending line.
     """
     lines = text.splitlines()
     n = None
-    literals: list[str] = []
-    line_nos: list[int] = []
+    parsed: list[tuple[int, str, int]] = []  # (line, literal, mask)
     for idx, raw in enumerate(lines, start=1):
         content = raw.split("#", 1)[0].strip()
         if not content:
@@ -107,40 +96,25 @@ def parse_document(text: str, source: str = "<input>") -> CodeDocument:
                     source, idx, f"neuron count must be in 1..{MAX_NEURONS}, got {n}")
             continue
         try:
-            _parse_word(content, n)
+            parsed.append((idx, content, _parse_word(content, n)))
         except ValueError as err:
             raise ParseError(source, idx, str(err)) from None
-        literals.append(content)
-        line_nos.append(idx)
     if n is None:
         raise ParseError(source, max(len(lines), 1), "empty document; expected n=<k>")
-    return CodeDocument(n, tuple(literals), source, tuple(line_nos))
-
-
-def parse_code(text: str, source: str = "<input>") -> Code:
-    """Parse a document into a code.
-
-    Duplicate words are dropped with a warning; empty and full codes are
-    rejected with the offending line.
-    """
-    doc = parse_document(text, source)
     seen: set[int] = set()
-    masks: list[int] = []
-    for literal, line in zip(doc.words, doc.lines):
-        mask = _parse_word(literal, doc.n)
+    for line, literal, mask in parsed:
         if mask in seen:
             warnings.warn(ParseWarning(
                 f"{source}:{line}: duplicate word {literal!r} ignored"))
             continue
         seen.add(mask)
-        masks.append(mask)
-        if len(seen) == 1 << doc.n:
+        if len(seen) == 1 << n:
             raise ParseError(
                 source, line, "code contains every subset of [n]; proper codes required")
-    if not masks:
-        raise ParseError(source, max(len(text.splitlines()), 1),
+    if not seen:
+        raise ParseError(source, max(len(lines), 1),
                          "no codewords given; nonempty codes required")
-    return Code(doc.n, frozenset(masks))
+    return Code(n, frozenset(seen))
 
 
 def render_code_document(code: Code) -> str:

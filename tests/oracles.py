@@ -115,6 +115,11 @@ def oracle_maximal_intervals(code: Code) -> frozenset[Interval]:
                    for c2, d2 in ivs))
 
 
+def oracle_in_neural_ideal(pm: Pseudomonomial, code: Code) -> bool:
+    """Pointwise membership: the pseudomonomial vanishes on every codeword."""
+    return all(evaluate(pm, w) == 0 for w in code.word_list)
+
+
 def oracle_canonical_form(code: Code) -> frozenset[Pseudomonomial]:
     """Evaluation-based membership, pairwise minimality prune."""
     members = [Pseudomonomial(s, t) for s, t in disjoint_pairs(code.n)
@@ -205,7 +210,7 @@ def replay_witness(code: Code, report) -> None:
             assert f.xpart.bit_count() < n - 1
         else:
             assert f.xpart != full_mask(n)
-            psets = [pf.ypart for pf in prime_sets(comp, minimal_only=True)]
+            psets = [pf.ypart for pf in prime_sets(comp)]
             for i in range(1, n + 1):
                 bit = 1 << (i - 1)
                 two = not f.xpart & bit
@@ -252,6 +257,14 @@ def check_method_agreement(code: Code) -> tuple[bool, bool]:
     if mic[1].verdict:
         validate_certificate(code, mic[1])
     return ic[0].verdict, mic[0].verdict
+
+
+def all_prime_sets(code: Code) -> set[int]:
+    """Every barred set B with [n] + B-bar not a face of the factor complex,
+    minimal or not, straight from the definition."""
+    full = full_mask(code.n)
+    fc = factor_complex(code)
+    return {b for b in range(1 << code.n) if not fc.is_face(full | b << code.n)}
 
 
 def check_correspondences(code: Code) -> None:
@@ -303,7 +316,7 @@ def check_correspondences(code: Code) -> None:
     # primes containing the code complex's Stanley-Reisner ideal
     comp = code.complement
     mono = [pm.sigma for pm in canonical_form(code).monomials()]
-    psets = {pf.ypart for pf in prime_sets(comp, minimal_only=False)}
+    psets = all_prime_sets(comp)
     for b in range(1 << n):
         contains_ideal = all(b & s for s in mono)
         assert (b in psets) == contains_ideal

@@ -21,7 +21,6 @@ from neurocode import (
     SquarefreeMonomialIdeal,
     Universe,
     canonical_form,
-    cf_monomials,
     code_from_id,
     complex_of_ideal,
     face_to_interval,
@@ -124,7 +123,7 @@ def test_criterion_1_worked_examples():
 
         from neurocode import downward_closure
         assert downward_closure(code).facets == {0b011, 0b101}
-        assert cf_monomials(canonical_form(code)) == {Pseudomonomial(0b110, 0)}
+        assert canonical_form(code).monomials() == {Pseudomonomial(0b110, 0)}
         assert sr_minimal_primes(code) == {0b010, 0b100}
 
         # dictionary correspondences on the worked pair

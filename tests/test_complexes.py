@@ -12,6 +12,7 @@ from neurocode import (
     SimplicialComplex,
     SquarefreeMonomialIdeal,
     Universe,
+    canonical_form,
     complex_of_ideal,
     divides,
     face_to_interval,
@@ -29,6 +30,7 @@ from neurocode import (
 
 from oracles import (
     all_codes,
+    all_prime_sets,
     check_correspondences,
     example_code,
     example_complement,
@@ -197,8 +199,8 @@ class TestPrimeSets:
 
     def test_all_prime_sets_are_upward_closed(self):
         code = example_complement()
-        full_sets = {f.ypart for f in prime_sets(code, minimal_only=False)}
-        minimal = {f.ypart for f in prime_sets(code, minimal_only=True)}
+        full_sets = all_prime_sets(code)
+        minimal = {f.ypart for f in prime_sets(code)}
         for b in full_sets:
             assert any(m & ~b == 0 for m in minimal)
         for b in range(1 << 3):
@@ -207,7 +209,7 @@ class TestPrimeSets:
 
     def test_empty_prime_set_iff_plain_universe_not_a_face(self):
         for code in all_codes(3):
-            has_empty = pf(0, 0) in prime_sets(code, minimal_only=False)
+            has_empty = 0 in all_prime_sets(code)
             assert has_empty == (not factor_complex(code).is_face(0b111))
 
     def test_cap(self):
@@ -220,6 +222,30 @@ class TestPrimeSets:
         for code in all_codes(3):
             expected = {pf(0, 0b111 & ~m) for m in code.maximal_codewords}
             assert prime_sets(code.complement) == expected
+
+
+class TestMemo:
+    MEMOIZED = (canonical_form, polar_ideal, factor_ideal, factor_complex,
+                polar_complex, prime_sets)
+
+    def test_second_call_returns_the_same_object(self):
+        code = example_code()
+        for fn in self.MEMOIZED:
+            assert fn(code) is fn(code), fn.__name__
+
+    def test_complement_keeps_its_own_artifacts(self):
+        code = example_code()
+        comp = code.complement
+        for fn in self.MEMOIZED:
+            ours, theirs = fn(code), fn(comp)
+            assert ours is not theirs, fn.__name__
+            assert fn(code) is ours and fn(comp) is theirs
+        assert canonical_form(code).elements != canonical_form(comp).elements
+
+    def test_wrapper_keeps_name_and_module(self):
+        for fn in self.MEMOIZED:
+            assert fn.__wrapped__.__name__ == fn.__name__
+            assert fn.__module__ in ("neurocode.ideals", "neurocode.complexes")
 
 
 class TestSrMinimalPrimes:

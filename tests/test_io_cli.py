@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -10,7 +12,6 @@ from neurocode import (
     ParseError,
     ParseWarning,
     parse_code,
-    parse_document,
     render_code_document,
 )
 from neurocode.cli import run_command
@@ -81,11 +82,23 @@ class TestParse:
             code = parse_code("n=2\n10\n10\n01\n")
         assert code == Code(2, {0b01, 0b10})
 
-    def test_document_scan(self):
-        doc = parse_document(EXAMPLE_DOC, source="doc")
-        assert doc.n == 3
-        assert doc.words == ("000", "010", "001", "110", "101")
-        assert doc.lines == (2, 3, 4, 5, 6)
+    def test_duplicate_warning_names_its_line(self):
+        text = "# a code\nn=2\n\n10\n{1}  # the same word\n"
+        with pytest.warns(ParseWarning, match=r"^doc:5: duplicate word '\{1\}'"):
+            code = parse_code(text, source="doc")
+        assert code == Code(2, {0b01})
+
+    def test_syntax_error_after_full_code_wins(self):
+        with pytest.raises(ParseError) as err:
+            parse_code("n=1\n0\n1\nx\n", source="doc")
+        assert err.value.line == 4
+
+    def test_duplicate_warnings_precede_full_code_error(self):
+        with pytest.warns(ParseWarning) as caught:
+            with pytest.raises(ParseError) as err:
+                parse_code("n=1\n0\n0\n1\n", source="doc")
+        assert [str(w.message) for w in caught] == ["doc:3: duplicate word '0' ignored"]
+        assert err.value.line == 4
 
 
 class TestRenderRoundTrip:
@@ -296,6 +309,28 @@ def test_benchmark_smoke_run():
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"],
                           cwd=root, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("demo", sorted(
+    (Path(__file__).resolve().parent.parent / "demos").glob("0[1-5]_*.py")),
+    ids=lambda path: path.stem)
+def test_demo_runs(demo):
+    root = demo.parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, str(demo)], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_star_import_binds_exactly_all():
+    import neurocode
+    namespace = {}
+    exec("from neurocode import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(neurocode.__all__)
+    assert len(neurocode.__all__) == len(set(neurocode.__all__))
+    for name in neurocode.__all__:
+        assert not isinstance(getattr(neurocode, name), ModuleType), name
 
 
 class TestSurveyCli:
