@@ -40,7 +40,6 @@ from .codes import (
     submasks,
 )
 from .complexes import (
-    ENUM_MAX_N,
     PolarFace,
     SimplicialComplex,
     SquarefreeMonomialIdeal,

@@ -13,7 +13,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .codes import Code, Interval, _member_bits, full_mask, neurons_from_mask, submasks
+from .codes import (Code, Interval, _member_bits, _minimal_members, full_mask,
+                    neurons_from_mask, submasks)
 from .complexes import (
     PolarFace,
     complex_of_ideal,
@@ -345,6 +346,14 @@ def _canonical_form_by_enumeration(code: Code) -> frozenset[Pseudomonomial]:
     return frozenset(Pseudomonomial(s, t) for s, t in kept)
 
 
+def _prime_sets_by_enumeration(code: Code) -> frozenset[PolarFace]:
+    """Reference route for the delta check, independent of the maximal
+    codewords: ``prime_sets``' definition, tested on all 2**n barred sets."""
+    n, fc = code.n, factor_complex(code)
+    found = [b for b in range(1 << n) if not fc.is_face(full_mask(n) | b << n)]
+    return frozenset(PolarFace(0, b) for b in _minimal_members(found))
+
+
 def verify_dictionary(code: Code) -> DictionaryReport:
     """Check the code/ideal/complex correspondences end to end on one code.
 
@@ -360,12 +369,14 @@ def verify_dictionary(code: Code) -> DictionaryReport:
     gamma_delta: complements of maximal codewords give both the minimal
         primes of the code complex's ideal (recomputed as minimal
         transversals of the canonical form's monomial supports) and,
-        barred, the minimal prime-sets of the complement's factor complex.
+        barred, the minimal prime-sets of the complement's factor complex,
+        both as derived and as found by an independent 2**n scan.
 
     A failed check indicates a library bug, not a property of the code.
     """
     n = code.n
     full = full_mask(n)
+    fc = factor_complex(code)  # capped: refuses first
     comp = code.complement
     checks = []
 
@@ -379,7 +390,6 @@ def verify_dictionary(code: Code) -> DictionaryReport:
         None if ok else f"difference {sorted(map(str, alpha_img ^ cf_comp))}, "
                         f"from enumeration {sorted(map(str, alpha_img ^ reference))}"))
 
-    fc = factor_complex(code)
     beta_img = frozenset(iv.hi | (full & ~iv.lo) << n for iv in miv)
     indep = complex_of_ideal(factor_ideal(code)).facets
     effective = all((f | f >> n) & full == full for f in fc.facets)
@@ -416,10 +426,12 @@ def verify_dictionary(code: Code) -> DictionaryReport:
     gamma_actual = minimal_transversals(mono_supports)
     delta_expected = frozenset(PolarFace(0, full & ~m) for m in maxw)
     delta_actual = prime_sets(comp)
-    ok = gamma_expected == gamma_actual and delta_expected == delta_actual
+    delta_scan = _prime_sets_by_enumeration(comp)
+    ok = gamma_expected == gamma_actual and delta_expected == delta_actual == delta_scan
     checks.append(DictionaryCheck(
         "gamma_delta", ok,
         None if ok else f"primes {sorted(gamma_actual)} vs {sorted(gamma_expected)}; "
-                        f"prime-sets {sorted(delta_actual)} vs {sorted(delta_expected)}"))
+                        f"prime-sets {sorted(delta_actual)} vs {sorted(delta_expected)}, "
+                        f"from enumeration {sorted(delta_scan)}"))
 
     return DictionaryReport(tuple(checks))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from itertools import islice
 
 from .classify import (
@@ -32,7 +33,7 @@ from .complexes import (
     sr_minimal_primes,
 )
 from .ideals import canonical_form, primary_decomposition
-from .io import interval_text, monomial_prime_text, parse_code, word_text
+from .io import ParseWarning, interval_text, monomial_prime_text, parse_code, word_text
 from .survey import summarize, survey
 
 SCHEMA_VERSION = 1
@@ -102,7 +103,12 @@ def _read_code(args) -> Code:
     else:
         text = sys.stdin.read()
         source = "<stdin>"
-    return parse_code(text, source)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ParseWarning)
+        try:
+            return parse_code(text, source)
+        finally:  # plain stderr lines, ahead of any parse error
+            sys.stderr.writelines(f"warning: {w.message}\n" for w in caught)
 
 
 def _emit_json(doc: dict) -> None:
@@ -140,14 +146,8 @@ def _mask_json(mask: int) -> list[int]:
     return list(neurons_from_mask(mask))
 
 
-def _words_json(code: Code) -> list[list[int]]:
-    return _Rendered(code.word_list, _mask_json)
-
-
 def _pm_json(pm) -> dict:
-    return {"sigma": list(neurons_from_mask(pm.sigma)),
-            "tau": list(neurons_from_mask(pm.tau)),
-            "text": str(pm)}
+    return {"sigma": _mask_json(pm.sigma), "tau": _mask_json(pm.tau), "text": str(pm)}
 
 
 def _interval_json(iv) -> dict:
@@ -159,13 +159,12 @@ def _prime_json(p) -> dict:
 
 
 def _face_json(face: PolarFace) -> dict:
-    return {"x": list(neurons_from_mask(face.xpart)),
-            "y": list(neurons_from_mask(face.ypart))}
+    return {"x": _mask_json(face.xpart), "y": _mask_json(face.ypart)}
 
 
 def _base_doc(command: str, code: Code) -> dict:
     return {"schema": SCHEMA_VERSION, "command": command,
-            "n": code.n, "code": _words_json(code)}
+            "n": code.n, "code": _Rendered(code.word_list, _mask_json)}
 
 
 def _sorted_faces(complex_) -> list[PolarFace]:
@@ -211,8 +210,8 @@ def _cmd_decompose(args, code: Code) -> int:
 
 
 def _cmd_complexes(args, code: Code) -> int:
+    factor = _sorted_faces(factor_complex(code))  # capped: refuses first
     delta = sorted(downward_closure(code).facets)
-    factor = _sorted_faces(factor_complex(code))
     polar = _sorted_faces(polar_complex(code))
     psets = sorted(prime_sets(code))
     primes = sorted(sr_minimal_primes(code))
@@ -236,8 +235,6 @@ def _cmd_complexes(args, code: Code) -> int:
 
 def _witness_text(report: ClassificationReport, n: int) -> str:
     w = report.witness
-    if w is None:
-        return ""
     doc = w.to_dict()
     if doc["kind"] == "missing_intersection":
         words = " & ".join(word_text(m, n) for m in w.words)
@@ -359,10 +356,7 @@ def run_command(argv: list[str]) -> int:
             "verify": _cmd_verify,
         }[args.command]
         return handler(args, code)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
+    except (_UsageError, ValueError, OSError) as err:
         # ParseError, InvalidCodeError, CapExceededError and
         # SurveyTooLargeError are all ValueError subclasses
         print(f"error: {err}", file=sys.stderr)

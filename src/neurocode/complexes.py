@@ -22,15 +22,11 @@ from .codes import (
     neurons_from_mask,
 )
 from .ideals import (
-    CapExceededError,
     Pseudomonomial,
+    _check_cap,
     canonical_form,
     primary_decomposition,
 )
-
-# prime_sets enumerates 2**n barred candidates; same spirit as the
-# canonical-form cap.
-ENUM_MAX_N = 12
 
 
 @dataclass(frozen=True, order=True)
@@ -213,11 +209,11 @@ def downward_closure(code: Code) -> SimplicialComplex:
 
 @_memo
 def polar_ideal(code: Code) -> SquarefreeMonomialIdeal:
-    """Polarization of the neural ideal: the polarized canonical form."""
+    """Polarization of the neural ideal: the polarized canonical form, an
+    antichain already (divisibility is containment of sigma | tau << n)."""
     n = code.n
-    return SquarefreeMonomialIdeal.from_supports(
-        Universe(n, polar=True),
-        (pm.sigma | pm.tau << n for pm in canonical_form(code).elements))
+    return SquarefreeMonomialIdeal(Universe(n, polar=True), frozenset(
+        pm.sigma | pm.tau << n for pm in canonical_form(code).elements))
 
 
 @_memo
@@ -262,9 +258,10 @@ def factor_complex(code: Code) -> SimplicialComplex:
 
     Facets come straight from maximal intervals: [c, d] maps to d together
     with the barred copy of [n] - c. Every facet is effective. Cached on
-    the code.
+    the code; refused above ``CF_MAX_N`` before the intervals are built.
     """
     n = code.n
+    _check_cap(n)
     full = full_mask(n)
     return SimplicialComplex(Universe(n, polar=True), frozenset(
         iv.hi | (full & ~iv.lo) << n for iv in code.maximal_intervals))
@@ -299,26 +296,17 @@ def face_to_interval(face: PolarFace, n: int) -> Interval:
     return Interval(full_mask(n) & ~face.ypart, face.xpart)
 
 
-@_memo
 def prime_sets(code: Code) -> frozenset[PolarFace]:
     """The inclusion-minimal barred sets B-bar with [n] + B-bar not a face
     of the code's factor complex.
 
-    All 2**n candidates are enumerated, including the empty set (a
-    prime-set exactly when [n] itself is not a face), rather than derived
-    from minimal primes; this keeps the codeword and prime
-    correspondences independently checkable. Results carry an empty plain part.
+    [n] + B-bar is a face iff every word containing [n] - B is a codeword,
+    so the minimal B are the complements of the complement's maximal
+    codewords (the delta correspondence): the barred image of
+    ``sr_minimal_primes(code.complement)``. Results carry an empty plain
+    part; verify keeps the 2**n scan of the definition as its reference.
     """
-    n = code.n
-    if n > ENUM_MAX_N:
-        raise CapExceededError(
-            f"prime-set enumeration scans 2**n candidates; n={n} exceeds "
-            f"the cap of {ENUM_MAX_N}")
-    facets = tuple(factor_complex(code).facets)
-    full = full_mask(n)
-    found = [b for b in range(1 << n)
-             if not any((full | b << n) & ~f == 0 for f in facets)]
-    return frozenset(PolarFace(0, b) for b in _minimal_members(found))
+    return frozenset(PolarFace(0, b) for b in sr_minimal_primes(code.complement))
 
 
 def sr_minimal_primes(code: Code) -> frozenset[int]:

@@ -25,7 +25,16 @@ CF_MAX_N = 12
 
 
 class CapExceededError(ValueError):
-    """An exhaustive enumeration was refused because n is too large."""
+    """A request was refused because n is above ``CF_MAX_N``."""
+
+
+def _check_cap(n: int) -> None:
+    """Refuse n above CF_MAX_N; ``canonical_form`` and ``factor_complex`` call this first."""
+    if n > CF_MAX_N:
+        raise CapExceededError(
+            f"n={n} exceeds the cap of {CF_MAX_N} on the canonical form and the "
+            "factor complex: above it they can hold hundreds of thousands of "
+            "elements, and checking that these form an antichain takes tens of seconds")
 
 
 @dataclass(frozen=True, order=True)
@@ -165,10 +174,7 @@ def canonical_form(code: Code) -> CanonicalForm:
     (write-once, idempotent).
     """
     n = code.n
-    if n > CF_MAX_N:
-        raise CapExceededError(
-            f"n={n} exceeds the canonical-form cap of {CF_MAX_N}: verify's reference "
-            "route and the polar complex's transversal enumeration have no bound above it")
+    _check_cap(n)
     return CanonicalForm(n, frozenset(
         interval_to_pm(iv, n) for iv in code.complement.maximal_intervals))
 

@@ -267,25 +267,53 @@ def all_prime_sets(code: Code) -> set[int]:
     return {b for b in range(1 << code.n) if not fc.is_face(full | b << code.n)}
 
 
+@lru_cache(maxsize=None)
+def _without_vertex(size: int) -> tuple[int, ...]:
+    """Bitsets over the 2**size subsets: entry v marks those without vertex v."""
+    return tuple(sum(1 << s for s in range(1 << size) if not s >> v & 1)
+                 for v in range(size))
+
+
+def up_closure(masks, size: int) -> int:
+    """Bitset over the 2**size subsets: those containing some mask."""
+    bits = sum(1 << m for m in set(masks))
+    for v, without in enumerate(_without_vertex(size)):
+        bits |= (bits & without) << (1 << v)
+    return bits
+
+
+def down_closure(masks, size: int) -> int:
+    """Bitset over the 2**size subsets: those inside some mask."""
+    bits = sum(1 << m for m in set(masks))
+    for v, without in enumerate(_without_vertex(size)):
+        bits |= (bits & ~without) >> (1 << v)
+    return bits
+
+
 def check_correspondences(code: Code) -> None:
-    """Membership transfer and face correspondences, on one code."""
+    """Membership transfer and face correspondences, on one code.
+
+    Ideal membership (some generator divides the support) and face tests
+    (some facet contains the mask) are bit tests on the up-closure of the
+    generators and the down-closure of the facets over the 2**(2n) masks.
+    """
     n = code.n
     full = full_mask(n)
     fc = factor_complex(code)
     pc = polar_complex(code)
     fi = factor_ideal(code)
     pi = polar_ideal(code)
-    fi_gens = tuple(fi.generators)
-    pi_gens = tuple(pi.generators)
-    fc_nofacets = tuple(~f for f in fc.facets)
-    pc_nofacets = tuple(~f for f in pc.facets)
+    fi_members = up_closure(fi.generators, 2 * n)
+    pi_members = up_closure(pi.generators, 2 * n)
+    fc_faces = down_closure(fc.facets, 2 * n)
+    pc_faces = down_closure(pc.facets, 2 * n)
 
     # membership transfers to both polarized ideals
     for pm in all_pseudomonomials(n):
         member = in_neural_ideal(pm, code)
-        nsupp = ~(pm.sigma | pm.tau << n)
-        assert member == any(g & nsupp == 0 for g in fi_gens)
-        assert member == any(g & nsupp == 0 for g in pi_gens)
+        support = pm.sigma | pm.tau << n
+        assert member == bool(fi_members >> support & 1)
+        assert member == bool(pi_members >> support & 1)
 
     # the polar ideal sits inside the factor ideal; complexes the other way
     assert all(fi.contains_monomial(g) for g in pi.generators)
@@ -295,16 +323,16 @@ def check_correspondences(code: Code) -> None:
     for w in range(1 << n):
         m = w | (full & ~w) << n
         in_code = w in code.words
-        assert in_code == fc.is_face(m)
-        assert in_code == pc.is_face(m)
+        assert in_code == bool(fc_faces >> m & 1)
+        assert in_code == bool(pc_faces >> m & 1)
 
     # intervals inside the code are exactly the faces d + bar([n] - c)
     member = code.words.__contains__
     for c, d in interval_pairs(n):
         inside = all(member(c | s) for s in submasks(d ^ c))
         m = d | (full & ~c) << n
-        assert inside == any(m & nf == 0 for nf in fc_nofacets)
-        assert inside == any(m & nf == 0 for nf in pc_nofacets)
+        assert inside == bool(fc_faces >> m & 1)
+        assert inside == bool(pc_faces >> m & 1)
 
     # every factor facet is effective, and the factor complex is exactly
     # the effective part of the polar complex

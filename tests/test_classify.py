@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from neurocode import (
+    CapExceededError,
     Code,
     PolarFace,
     Pseudomonomial,
@@ -133,6 +136,13 @@ class TestMicFacets:
         for code in all_codes(3):
             assert is_mic_facets(code).verdict == is_mic_bruteforce(code).verdict
 
+    def test_cap_refuses_before_the_intervals(self):
+        code = Code(13, {0, 1, 3})
+        with pytest.raises(CapExceededError, match="cap of 12"):
+            is_mic_facets(code)
+        assert "maximal_intervals" not in code.__dict__
+        assert "maximal_intervals" not in code.complement.__dict__
+
 
 class TestAgreementAndWitnesses:
     def test_exhaustive_n3(self):
@@ -225,3 +235,21 @@ class TestVerifyDictionary:
         alpha = next(c for c in report.checks if c.name == "alpha")
         assert not alpha.passed
         assert not report.passed
+
+    def test_gamma_delta_fails_when_a_maximal_codeword_is_dropped(self):
+        # prime_sets is derived from the same maximal codewords, so it is
+        # the 2**n scan and the transversal route that catch the loss
+        code = example_code()
+        dropped = min(code.maximal_codewords)
+        code.__dict__["maximal_codewords"] = code.maximal_codewords - {dropped}
+        report = verify_dictionary(code)
+        gamma_delta = next(c for c in report.checks if c.name == "gamma_delta")
+        assert not gamma_delta.passed
+        assert "from enumeration" in gamma_delta.detail
+        assert not report.passed
+
+    def test_cap_refuses_before_the_intervals(self):
+        code = Code(13, {0, 1, 3})
+        with pytest.raises(CapExceededError, match="cap of 12"):
+            verify_dictionary(code)
+        assert "maximal_intervals" not in code.__dict__

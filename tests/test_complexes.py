@@ -35,6 +35,7 @@ from oracles import (
     example_code,
     example_complement,
     oracle_complex_facets,
+    random_codes,
     sample_codes,
 )
 
@@ -144,6 +145,12 @@ class TestFactorComplex:
         code = Code(3, {0b110})
         assert factor_complex(code).polar_facets() == {pf(0b110, 0b001)}
 
+    def test_cap_refuses_before_the_intervals(self):
+        code = Code(13, {0, 1, 3})
+        with pytest.raises(CapExceededError, match="cap of 12"):
+            factor_complex(code)
+        assert "maximal_intervals" not in code.__dict__
+
 
 class TestPolarComplex:
     def test_complement_example(self):
@@ -212,9 +219,24 @@ class TestPrimeSets:
             has_empty = 0 in all_prime_sets(code)
             assert has_empty == (not factor_complex(code).is_face(0b111))
 
+    def test_matches_definition(self):
+        # the minimal members of every barred set B with [n] + B-bar not a
+        # face, found by scanning all 2**n candidates
+        codes = [c for n in (1, 2, 3) for c in all_codes(n)]
+        codes += [c for n in range(4, 9) for c in random_codes(n, 6, seed=5100 + n)]
+        for code in codes:
+            found = all_prime_sets(code)
+            minimal = {b for b in found
+                       if not any(a != b and a & ~b == 0 for a in found)}
+            assert prime_sets(code) == {pf(0, b) for b in minimal}
+
     def test_cap(self):
-        with pytest.raises(CapExceededError):
-            prime_sets(Code(13, {0}))
+        # no cap: derived from the complement's maximal codewords
+        full = (1 << 16) - 1
+        assert prime_sets(Code(16, {0})) == {pf(0, 0)}
+        assert prime_sets(Code(16, {0}).complement) == {pf(0, full)}
+        star = Code(16, {w for w in range(1 << 16) if w & 1})
+        assert prime_sets(star) == {pf(0, 0b1)}
 
     def test_delta_correspondence_exhaustive_n3(self):
         # minimal prime-sets of the complement's factor complex are the
@@ -226,7 +248,7 @@ class TestPrimeSets:
 
 class TestMemo:
     MEMOIZED = (canonical_form, polar_ideal, factor_ideal, factor_complex,
-                polar_complex, prime_sets)
+                polar_complex)
 
     def test_second_call_returns_the_same_object(self):
         code = example_code()

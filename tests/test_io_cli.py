@@ -221,6 +221,39 @@ class TestCliCommands:
         assert run_command(["cf"]) == 0
         assert "x2*x3" in capsys.readouterr().out
 
+    def test_parse_warnings_are_plain_stderr_lines(self, monkeypatch, capsys):
+        import io as _io
+        for _ in range(2):  # not deduplicated across runs in one process
+            monkeypatch.setattr("sys.stdin", _io.StringIO("n=1\n0\n0\n"))
+            assert run_command(["cf"]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == "x1\n"
+            assert captured.err == "warning: <stdin>:3: duplicate word '0' ignored\n"
+
+    def test_parse_warnings_precede_the_error_bytes(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "neurocode", "cf"], input=b"n=1\n0\n0\n1\n0\n",
+            capture_output=True, env={**os.environ, "PYTHONPATH": "src"},
+            cwd=Path(__file__).resolve().parent.parent, check=False)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr == (
+            b"warning: <stdin>:3: duplicate word '0' ignored\n"
+            b"error: <stdin>:4: code contains every subset of [n]; proper codes required\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["cf"], ["complexes"], ["verify"], ["check", "ic", "--method", "cf"],
+        ["check", "ic", "--method", "facets"], ["check", "mic", "--method", "algebraic"],
+        ["check", "mic", "--method", "facets"], ["complexes", "--json"]])
+    def test_cap_refused_with_one_message(self, argv, tmp_path, capsys):
+        path = tmp_path / "n13.code"
+        path.write_text("n=13\n{1}\n{1,2}\n{13}\n")
+        assert run_command(argv + ["--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: n=13 exceeds the cap of 12 on the canonical form")
+        assert captured.err.count("\n") == 1
+
 
 class TestCliJson:
     def test_cf_json_matches_text(self, example_file, capsys):
