@@ -13,7 +13,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .codes import (Code, Interval, _member_bits, _minimal_members, full_mask,
+from .codes import (Code, Interval, _clear_masks, _intersection_closure,
+                    _member_bits, _minimal_members, _set_bits, full_mask,
                     neurons_from_mask, submasks)
 from .complexes import (
     PolarFace,
@@ -134,18 +135,27 @@ def _now() -> int:
 
 
 def is_intersection_complete_bruteforce(code: Code) -> ClassificationReport:
-    """Pairwise closure check; pairwise closure generates all intersections."""
+    """Closure check: the code is intersection-complete iff the
+    intersection closure of its word bitset adds no word.
+
+    The witness is the first pair of ``word_list`` with a missing
+    intersection. Its w1 is the least codeword with a failing partner, all
+    of which lie above it, so w1 contains a missing m. w1 & w2 = m iff w2
+    is in [m, m | ([n] - w1)]; over all m those are a carry-free product.
+    """
+    wb, n = code.word_bits, code.n
     t0 = _now()
-    words = code.word_list
-    member = code.words.__contains__
+    missing = _intersection_closure(wb, n) & ~wb
+    above = missing  # up-closure: the words that contain a missing value
+    for i, keep in enumerate(_clear_masks(n)):
+        above |= (above & keep) << (1 << i)
     witness = None
-    for i, w1 in enumerate(words):
-        for w2 in words[i + 1:]:
-            m = w1 & w2
-            if not member(m):
-                witness = IntersectionWitness((w1, w2), m)
-                break
-        if witness is not None:
+    for w1 in _set_bits(above & wb):
+        below = _member_bits(0, w1) & missing
+        partners = below * _member_bits(0, full_mask(n) ^ w1) & wb
+        if partners:
+            w2 = (partners & -partners).bit_length() - 1
+            witness = IntersectionWitness((w1, w2), w1 & w2)
             break
     return ClassificationReport(
         "IC", "brute_force", witness is None, code.n, witness,
@@ -155,9 +165,10 @@ def is_intersection_complete_bruteforce(code: Code) -> ClassificationReport:
 def is_intersection_complete_cf(code: Code) -> ClassificationReport:
     """A code is intersection-complete iff every canonical-form element has
     at most one 1 - x factor."""
+    cf = canonical_form(code)
     t0 = _now()
     witness = None
-    for pm in sorted(canonical_form(code).elements):
+    for pm in sorted(cf.elements):
         if pm.tau.bit_count() > 1:
             witness = PseudomonomialWitness(pm)
             break
@@ -169,11 +180,12 @@ def is_intersection_complete_cf(code: Code) -> ClassificationReport:
 def is_intersection_complete_facets(code: Code) -> ClassificationReport:
     """A code is intersection-complete iff every facet of the complement's
     factor complex meets [n] in at least n - 1 vertices."""
+    fc = factor_complex(code.complement)
     t0 = _now()
     n = code.n
     full = full_mask(n)
     witness = None
-    for fmask in sorted(factor_complex(code.complement).facets):
+    for fmask in sorted(fc.facets):
         if (fmask & full).bit_count() < n - 1:
             witness = FacetWitness(PolarFace.from_mask(fmask, n))
             break
@@ -183,33 +195,19 @@ def is_intersection_complete_facets(code: Code) -> ClassificationReport:
 
 
 def is_mic_bruteforce(code: Code) -> ClassificationReport:
-    """Close the maximal-codeword family under pairwise intersection and
-    check every value is a codeword.
-
-    Intersection is associative, commutative and idempotent, so the
-    pairwise closure contains the intersection of every nonempty subset.
-    The witness lists all maximal codewords containing the least missing
-    value; their intersection is exactly that value.
+    """Every intersection of maximal codewords must be a codeword: the
+    intersection closure of their bitset adds no word. The witness lists
+    all maximal codewords containing the least missing value; their
+    intersection is exactly that value.
     """
+    maxw, wb = code.maximal_codewords, code.word_bits
     t0 = _now()
-    maxw = sorted(code.maximal_codewords)
-    values = set(maxw)
-    frontier = list(maxw)
-    while frontier:
-        fresh = []
-        for v in frontier:
-            for m in maxw:
-                x = v & m
-                if x not in values:
-                    values.add(x)
-                    fresh.append(x)
-        frontier = fresh
-    missing = sorted(v for v in values if v not in code.words)
+    missing = _intersection_closure(sum(1 << m for m in maxw), code.n) & ~wb
     witness = None
     if missing:
-        v = missing[0]
+        v = (missing & -missing).bit_length() - 1
         witness = IntersectionWitness(
-            tuple(m for m in maxw if v & ~m == 0), v)
+            tuple(sorted(m for m in maxw if v & ~m == 0)), v)
     return ClassificationReport(
         "MIC", "brute_force", witness is None, code.n, witness,
         elapsed_us=(_now() - t0) // 1000)
@@ -228,12 +226,12 @@ def is_mic_algebraic(code: Code) -> ClassificationReport:
     True verdicts carry a certificate recording the chosen index per
     element.
     """
+    cf, prime_vars = canonical_form(code), sorted(sr_minimal_primes(code))
     t0 = _now()
     n = code.n
-    prime_vars = sorted(sr_minimal_primes(code))
     witness = None
     entries = []
-    for pm in sorted(canonical_form(code).elements):
+    for pm in sorted(cf.elements):
         if pm.tau == 0:
             continue
         sigma = pm.sigma
@@ -263,39 +261,24 @@ def is_mic_facets(code: Code) -> ClassificationReport:
 
     For every facet F not containing [n] there must be an i outside F
     such that every minimal prime-set containing i-bar also contains
-    some j-bar outside F. An equivalent single-set condition (the
-    complement of the union of the prime-sets contained in F must not
-    lie inside F) is evaluated alongside and held to agreement.
+    some j-bar outside F.
     """
+    fc, psets = factor_complex(code.complement), prime_sets(code.complement)
     t0 = _now()
     n = code.n
     full = full_mask(n)
-    comp = code.complement
-    pset_masks = sorted(pf.ypart for pf in prime_sets(comp))
+    pset_masks = sorted(pf.ypart for pf in psets)
     witness = None
-    for fmask in sorted(factor_complex(comp).facets):
+    for fmask in sorted(fc.facets):
         x = fmask & full
         y = fmask >> n
         if x == full:
             continue
-        ok = False
         for i in range(1, n + 1):
             bit = 1 << (i - 1)
-            if x & bit:
-                continue
-            if all(b & ~y for b in pset_masks if b & bit):
-                ok = True
+            if not x & bit and all(b & ~y for b in pset_masks if b & bit):
                 break
-        union = 0
-        for b in pset_masks:
-            if b & ~y == 0:
-                union |= b
-        star = (full & ~union) & ~x != 0
-        if ok != star:
-            raise AssertionError(
-                f"facet criterion and its single-set form disagree on "
-                f"{PolarFace.from_mask(fmask, n)}")
-        if not ok:
+        else:
             witness = FacetWitness(PolarFace.from_mask(fmask, n))
             break
     return ClassificationReport(

@@ -75,6 +75,24 @@ def _clear_masks(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _down_closure(bits: int, n: int) -> int:
+    """The subsets of the members of a bitset over the cube: n shift steps."""
+    for i, keep in enumerate(_clear_masks(n)):
+        bits |= (bits & ~keep) >> (1 << i)
+    return bits
+
+
+def _intersection_closure(bits: int, n: int) -> int:
+    """The intersections of all nonempty subfamilies of a bitset's members:
+    w is one iff it lies below some member and, for each neuron i outside w,
+    below some member without i (those members meet in w). n + 1 down-closures.
+    """
+    out = _down_closure(bits, n)
+    for keep in _clear_masks(n):
+        out &= ~keep | _down_closure(bits & keep, n)
+    return out
+
+
 def _member_bits(lo: int, hi: int) -> int:
     """The members of [lo, hi] as a bitset over the cube, one shift per free neuron."""
     bits = 1 << lo
@@ -252,12 +270,9 @@ class Code:
         """
         wb = self.word_bits
         below = 0
-        clear = _clear_masks(self.n)
-        for i, keep in enumerate(clear):
+        for i, keep in enumerate(_clear_masks(self.n)):
             below |= (wb & ~keep) >> (1 << i)
-        for i, keep in enumerate(clear):
-            below |= (below & ~keep) >> (1 << i)
-        return frozenset(_set_bits(wb & ~below))
+        return frozenset(_set_bits(wb & ~_down_closure(below, self.n)))
 
     def contains_interval(self, iv: Interval) -> bool:
         """True iff every member of ``iv`` is a codeword."""

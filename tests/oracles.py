@@ -14,6 +14,7 @@ from itertools import combinations
 from neurocode import (
     Code,
     Interval,
+    PolarFace,
     Pseudomonomial,
     canonical_form,
     code_from_id,
@@ -85,6 +86,21 @@ def random_codes(n: int, count: int, seed: int, densities=(0.1, 0.5, 0.9)):
             made += 1
 
 
+def near_closed_codes(n: int, count: int, seed: int):
+    """Fixed-seed codes at most one word short of intersection-closed: the
+    intersection closure of a random family of 2 to 8 words, less one of
+    its words. On these the first failing pair can sit anywhere."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        family = [rng.getrandbits(n) for _ in range(rng.randint(2, 8))]
+        words = sorted(oracle_intersections(family))
+        words.remove(rng.choice(words))
+        if 0 < len(words) < 1 << n:
+            yield Code(n, frozenset(words))
+            made += 1
+
+
 def disjoint_pairs(n: int):
     """All 3**n disjoint (sigma, tau) pairs."""
     for support in range(1 << n):
@@ -144,17 +160,22 @@ def oracle_complex_facets(generators, size: int) -> frozenset[int]:
                      if not any(f != g and f & ~g == 0 for g in faces))
 
 
-def oracle_mic(code: Code) -> bool:
-    """Intersections of every nonempty subset of maximal codewords."""
-    maxw = sorted(code.maximal_codewords)
-    for k in range(1, len(maxw) + 1):
-        for sub in combinations(maxw, k):
+def oracle_intersections(words) -> frozenset[int]:
+    """Intersections of every nonempty subfamily of a word family."""
+    words = sorted(set(words))
+    out = set()
+    for k in range(1, len(words) + 1):
+        for sub in combinations(words, k):
             x = sub[0]
             for m in sub[1:]:
                 x &= m
-            if x not in code.words:
-                return False
-    return True
+            out.add(x)
+    return frozenset(out)
+
+
+def oracle_mic(code: Code) -> bool:
+    """Intersections of every nonempty subset of maximal codewords."""
+    return oracle_intersections(code.maximal_codewords) <= code.words
 
 
 def oracle_ic(code: Code) -> bool:
@@ -172,6 +193,62 @@ def oracle_ic(code: Code) -> bool:
             if x not in code.words:
                 return False
     return True
+
+
+def oracle_ic_pairwise(code: Code) -> IntersectionWitness | None:
+    """The first pair of codewords, in ``word_list`` order, whose
+    intersection is missing; pairwise closure generates all intersections."""
+    words = code.word_list
+    member = code.words.__contains__
+    for i, w1 in enumerate(words):
+        for w2 in words[i + 1:]:
+            m = w1 & w2
+            if not member(m):
+                return IntersectionWitness((w1, w2), m)
+    return None
+
+
+def oracle_mic_frontier(code: Code) -> IntersectionWitness | None:
+    """Close the maximal codewords under pairwise intersection, one
+    frontier of new values at a time. The witness lists all maximal
+    codewords containing the least missing value."""
+    maxw = sorted(code.maximal_codewords)
+    values = set(maxw)
+    frontier = list(maxw)
+    while frontier:
+        fresh = []
+        for v in frontier:
+            for m in maxw:
+                x = v & m
+                if x not in values:
+                    values.add(x)
+                    fresh.append(x)
+        frontier = fresh
+    missing = sorted(v for v in values if v not in code.words)
+    if not missing:
+        return None
+    v = missing[0]
+    return IntersectionWitness(tuple(m for m in maxw if v & ~m == 0), v)
+
+
+def mic_facets_single_set(code: Code) -> FacetWitness | None:
+    """The facet MIC criterion in its single-set form: the first facet F of
+    the complement's factor complex, in mask order and not containing [n],
+    such that every neuron outside the union of the minimal prime-sets
+    inside F's barred part lies in F's plain part."""
+    n = code.n
+    full = full_mask(n)
+    comp = code.complement
+    psets = [pf.ypart for pf in prime_sets(comp)]
+    for fmask in sorted(factor_complex(comp).facets):
+        x, y = fmask & full, fmask >> n
+        union = 0
+        for b in psets:
+            if b & ~y == 0:
+                union |= b
+        if x != full and full & ~union & ~x == 0:
+            return FacetWitness(PolarFace.from_mask(fmask, n))
+    return None
 
 
 def replay_witness(code: Code, report) -> None:
@@ -240,13 +317,17 @@ def validate_certificate(code: Code, report) -> None:
 
 def check_method_agreement(code: Code) -> tuple[bool, bool]:
     """All three deciders per property agree; witnesses replay; certificates
-    hold; intersection-complete implies max-intersection-complete."""
+    hold; intersection-complete implies max-intersection-complete; the facet
+    MIC criterion agrees with its single-set form facet by facet (the same
+    first failing facet, or none)."""
     ic = (is_intersection_complete_bruteforce(code),
           is_intersection_complete_cf(code),
           is_intersection_complete_facets(code))
     assert ic[0].verdict == ic[1].verdict == ic[2].verdict, f"IC disagreement on {code}"
     mic = (is_mic_bruteforce(code), is_mic_algebraic(code), is_mic_facets(code))
     assert mic[0].verdict == mic[1].verdict == mic[2].verdict, f"MIC disagreement on {code}"
+    assert mic[2].witness == mic_facets_single_set(code), \
+        f"facet criterion and its single-set form disagree on {code}"
     if ic[0].verdict:
         assert mic[0].verdict, "intersection-complete must imply max-intersection-complete"
     if all(pm.tau == 0 for pm in canonical_form(code).elements):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from neurocode import classify
 from neurocode import (
     CapExceededError,
     Code,
@@ -23,8 +24,12 @@ from oracles import (
     check_method_agreement,
     example_code,
     example_complement,
+    mic_facets_single_set,
+    near_closed_codes,
     oracle_ic,
+    oracle_ic_pairwise,
     oracle_mic,
+    oracle_mic_frontier,
     random_codes,
     replay_witness,
     sample_codes,
@@ -44,6 +49,50 @@ class TestIntersectionCompleteBruteforce:
     def test_closed_code(self):
         code = Code(3, {0, 0b001, 0b010, 0b100, 0b011, 0b101})
         assert is_intersection_complete_bruteforce(code).verdict
+
+
+class TestBruteForceAgainstTheLoops:
+    """The closure kernel against the pairwise loop (IC) and the frontier
+    loop (MIC) it replaced: same verdicts, same witnesses."""
+
+    @staticmethod
+    def check(code):
+        ic = is_intersection_complete_bruteforce(code)
+        assert ic.witness == oracle_ic_pairwise(code)
+        assert ic.verdict == (ic.witness is None)
+        mic = is_mic_bruteforce(code)
+        assert mic.witness == oracle_mic_frontier(code)
+        assert mic.verdict == (mic.witness is None)
+
+    def test_exhaustive_n3(self):
+        for n in (1, 2, 3):
+            for code in all_codes(n):
+                self.check(code)
+
+    def test_sample_n4(self):
+        for code in sample_codes(4, 400, seed=3300):
+            self.check(code)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
+    def test_random(self, n):
+        for code in random_codes(n, 9, seed=3400 + n):
+            self.check(code)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
+    def test_near_closed(self, n):
+        verdicts = set()
+        for code in near_closed_codes(n, 30, seed=3500 + n):
+            self.check(code)
+            verdicts.add(is_intersection_complete_bruteforce(code).verdict)
+        assert verdicts == {False, True}
+
+    def test_star_code_less_a_word_n16(self):
+        # {1..14} is missing, and {1..15} & {1..14, 16} is the first pair
+        # that meets in it; too large for the pairwise loop
+        code = Code(16, frozenset(range(1, 1 << 16, 2)) - {(1 << 14) - 1})
+        report = is_intersection_complete_bruteforce(code)
+        assert report.witness == IntersectionWitness((32767, 49151), 16383)
+        assert is_mic_bruteforce(code).verdict
 
 
 class TestIntersectionCompleteCf:
@@ -136,6 +185,11 @@ class TestMicFacets:
         for code in all_codes(3):
             assert is_mic_facets(code).verdict == is_mic_bruteforce(code).verdict
 
+    def test_single_set_form_exhaustive_n3(self):
+        for n in (1, 2, 3):
+            for code in all_codes(n):
+                assert is_mic_facets(code).witness == mic_facets_single_set(code)
+
     def test_cap_refuses_before_the_intervals(self):
         code = Code(13, {0, 1, 3})
         with pytest.raises(CapExceededError, match="cap of 12"):
@@ -187,6 +241,34 @@ class TestReportSerialization:
         assert "certificate" in doc
         assert doc["certificate"]["minimal_primes"] == [[3], [2]] or \
             doc["certificate"]["minimal_primes"] == [[2], [3]]
+
+    @pytest.mark.parametrize("decide, built", [
+        (is_intersection_complete_bruteforce, [("code", "word_bits")]),
+        (is_intersection_complete_cf, [("code", "_canonical_form")]),
+        (is_intersection_complete_facets, [("complement", "_factor_complex")]),
+        (is_mic_bruteforce, [("code", "maximal_codewords"), ("code", "word_bits")]),
+        (is_mic_algebraic, [("code", "_canonical_form"), ("code", "maximal_codewords")]),
+        (is_mic_facets, [("complement", "_factor_complex"),
+                         ("code", "maximal_codewords")]),
+    ])
+    def test_timing_starts_after_the_artifacts(self, decide, built, monkeypatch):
+        # timing_us is the decider's own time: when the clock is first read,
+        # the cached artifacts it reads (the prime-sets and minimal primes
+        # come from the code's maximal codewords) already exist
+        code = example_code()
+        reads = []
+
+        def probe():
+            if not reads:
+                for owner, key in built:
+                    holder = code if owner == "code" else code.complement
+                    assert key in holder.__dict__, f"{key} built inside the clock"
+            reads.append(None)
+            return 0
+
+        monkeypatch.setattr(classify, "_now", probe)
+        decide(code)
+        assert len(reads) == 2
 
     def test_timing_excluded_from_equality(self):
         a = is_mic_bruteforce(example_code())

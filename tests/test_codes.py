@@ -1,13 +1,18 @@
+import random
+
 import pytest
 
 from neurocode import Code, Interval, InvalidCodeError, downward_closure
+from neurocode.codes import _down_closure, _intersection_closure, _set_bits
 
 from oracles import (
     EXAMPLE_COMPLEMENT_WORDS,
     EXAMPLE_WORDS,
     all_codes,
+    down_closure,
     example_code,
     example_complement,
+    oracle_intersections,
     oracle_maximal_codewords,
     oracle_maximal_intervals,
     random_codes,
@@ -154,6 +159,29 @@ class TestMaximalCodewords:
         # every word but the full one: the n words of size n - 1 are maximal
         code = Code(16, frozenset(range((1 << 16) - 1)))
         assert code.maximal_codewords == {0xFFFF ^ 1 << i for i in range(16)}
+
+
+class TestClosureKernels:
+    def test_down_closure_exhaustive_n3(self):
+        for n in (1, 2, 3):
+            for bits in range(1 << (1 << n)):
+                assert _down_closure(bits, n) == down_closure(_set_bits(bits), n)
+
+    def test_intersection_closure_exhaustive_n3(self):
+        for n in (1, 2, 3):
+            for bits in range(1, 1 << (1 << n)):
+                expected = sum(1 << w for w in oracle_intersections(_set_bits(bits)))
+                assert _intersection_closure(bits, n) == expected
+
+    @pytest.mark.parametrize("n", [5, 8, 11])
+    def test_intersection_closure_random_families(self, n):
+        rng = random.Random(4400 + n)
+        for _ in range(40):
+            family = {rng.getrandbits(n) for _ in range(rng.randint(1, 9))}
+            bits = sum(1 << w for w in family)
+            expected = sum(1 << w for w in oracle_intersections(family))
+            assert _intersection_closure(bits, n) == expected
+            assert _down_closure(bits, n) == down_closure(family, n)
 
 
 class TestDownwardClosure:

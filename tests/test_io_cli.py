@@ -254,6 +254,20 @@ class TestCliCommands:
         assert captured.err.startswith("error: n=13 exceeds the cap of 12 on the canonical form")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("prop", ["ic", "mic"])
+    def test_star_code_n16_brute_answers_and_all_methods_refused(self, prop, tmp_path, capsys):
+        # the 32,768 words containing neuron 1: the brute-force decider
+        # answers, and the default (all methods) reaches the cap after it
+        path = tmp_path / "star.code"
+        path.write_text(render_code_document(Code(16, frozenset(range(1, 1 << 16, 2)))))
+        assert run_command(["check", prop, "--method", "brute", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == f"{prop.upper()} brute_force: true\n"
+        assert run_command(["check", prop, "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: n=16 exceeds the cap of 12 on the canonical form")
+        assert captured.err.count("\n") == 1
+
 
 class TestCliJson:
     def test_cf_json_matches_text(self, example_file, capsys):
