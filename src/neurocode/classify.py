@@ -286,6 +286,19 @@ def is_mic_facets(code: Code) -> ClassificationReport:
         elapsed_us=(_now() - t0) // 1000)
 
 
+# The three deciders of each property, by method name, in report order.
+_IC_METHODS = {
+    "brute": is_intersection_complete_bruteforce,
+    "cf": is_intersection_complete_cf,
+    "facets": is_intersection_complete_facets,
+}
+_MIC_METHODS = {
+    "brute": is_mic_bruteforce,
+    "algebraic": is_mic_algebraic,
+    "facets": is_mic_facets,
+}
+
+
 @dataclass(frozen=True)
 class DictionaryCheck:
     name: str

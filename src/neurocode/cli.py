@@ -14,13 +14,10 @@ import warnings
 from itertools import islice
 
 from .classify import (
-    ClassificationReport,
-    is_intersection_complete_bruteforce,
-    is_intersection_complete_cf,
-    is_intersection_complete_facets,
-    is_mic_algebraic,
-    is_mic_bruteforce,
-    is_mic_facets,
+    _IC_METHODS,
+    _MIC_METHODS,
+    IntersectionWitness,
+    PseudomonomialWitness,
     verify_dictionary,
 )
 from .codes import Code, neurons_from_mask
@@ -37,17 +34,6 @@ from .io import ParseWarning, interval_text, monomial_prime_text, parse_code, wo
 from .survey import summarize, survey
 
 SCHEMA_VERSION = 1
-
-_IC_METHODS = {
-    "brute": is_intersection_complete_bruteforce,
-    "cf": is_intersection_complete_cf,
-    "facets": is_intersection_complete_facets,
-}
-_MIC_METHODS = {
-    "brute": is_mic_bruteforce,
-    "algebraic": is_mic_algebraic,
-    "facets": is_mic_facets,
-}
 
 
 class _UsageError(Exception):
@@ -82,9 +68,8 @@ def _build_parser() -> _Parser:
     check = sub.add_parser("check", parents=[io_parent],
                            help="decide a closure property by one or all methods")
     check.add_argument("property", choices=["ic", "mic"])
-    check.add_argument("--method",
-                       choices=["all", "brute", "cf", "facets", "algebraic"],
-                       default="all")
+    check.add_argument("--method", default="all", choices=[
+        "all", *dict.fromkeys([*_IC_METHODS, *_MIC_METHODS])])
     sub.add_parser("verify", parents=[io_parent],
                    help="run the correspondence checks on the code")
     surv = sub.add_parser("survey",
@@ -167,79 +152,70 @@ def _base_doc(command: str, code: Code) -> dict:
             "n": code.n, "code": _Rendered(code.word_list, _mask_json)}
 
 
-def _sorted_faces(complex_) -> list[PolarFace]:
-    n = complex_.universe.n
-    return [PolarFace.from_mask(f, n) for f in sorted(complex_.facets)]
+def _emit_list(args, command: str, code: Code, key: str, items,
+               to_json, to_text) -> int:
+    """One sorted list: a JSON document holding it under ``key``, or one
+    text line per item."""
+    if args.json:
+        doc = _base_doc(command, code)
+        doc[key] = _Rendered(items, to_json)
+        _emit_json(doc)
+    else:
+        for item in items:
+            print(to_text(item))
+    return 0
 
 
 def _cmd_cf(args, code: Code) -> int:
-    cf = canonical_form(code)
-    elems = sorted(cf.elements)
-    if args.json:
-        doc = _base_doc("cf", code)
-        doc["canonical_form"] = _Rendered(elems, _pm_json)
-        _emit_json(doc)
-    else:
-        for pm in elems:
-            print(pm)
-    return 0
+    return _emit_list(args, "cf", code, "canonical_form",
+                      sorted(canonical_form(code).elements), _pm_json, str)
 
 
 def _cmd_intervals(args, code: Code) -> int:
-    ivs = sorted(code.maximal_intervals)
-    if args.json:
-        doc = _base_doc("intervals", code)
-        doc["maximal_intervals"] = _Rendered(ivs, _interval_json)
-        _emit_json(doc)
-    else:
-        for iv in ivs:
-            print(interval_text(iv, code.n))
-    return 0
+    n = code.n
+    return _emit_list(args, "intervals", code, "maximal_intervals",
+                      sorted(code.maximal_intervals), _interval_json,
+                      lambda iv: interval_text(iv, n))
 
 
 def _cmd_decompose(args, code: Code) -> int:
-    primes = sorted(primary_decomposition(code))
-    if args.json:
-        doc = _base_doc("decompose", code)
-        doc["primes"] = _Rendered(primes, _prime_json)
-        _emit_json(doc)
-    else:
-        for p in primes:
-            print(p)
-    return 0
+    return _emit_list(args, "decompose", code, "primes",
+                      sorted(primary_decomposition(code)), _prime_json, str)
 
 
 def _cmd_complexes(args, code: Code) -> int:
-    factor = _sorted_faces(factor_complex(code))  # capped: refuses first
+    factor = sorted(factor_complex(code).facets)  # capped: refuses first
     delta = sorted(downward_closure(code).facets)
-    polar = _sorted_faces(polar_complex(code))
+    polar = sorted(polar_complex(code).facets)
     psets = sorted(prime_sets(code))
     primes = sorted(sr_minimal_primes(code))
+    n = code.n
+
+    def face(mask: int) -> PolarFace:
+        return PolarFace.from_mask(mask, n)
+
     if args.json:
         doc = _base_doc("complexes", code)
-        doc["delta_facets"] = [list(neurons_from_mask(f)) for f in delta]
-        doc["factor_facets"] = [_face_json(f) for f in factor]
-        doc["polar_facets"] = [_face_json(f) for f in polar]
-        doc["minimal_prime_sets"] = [_face_json(f) for f in psets]
-        doc["sr_minimal_primes"] = [list(neurons_from_mask(b)) for b in primes]
+        doc["delta_facets"] = _Rendered(delta, _mask_json)
+        doc["factor_facets"] = _Rendered(factor, lambda f: _face_json(face(f)))
+        doc["polar_facets"] = _Rendered(polar, lambda f: _face_json(face(f)))
+        doc["minimal_prime_sets"] = _Rendered(psets, _face_json)
+        doc["sr_minimal_primes"] = _Rendered(primes, _mask_json)
         _emit_json(doc)
     else:
-        n = code.n
         print("delta_facets: " + " ".join(word_text(f, n) for f in delta))
-        print("factor_facets: " + " ".join(str(f) for f in factor))
-        print("polar_facets: " + " ".join(str(f) for f in polar))
+        print("factor_facets: " + " ".join(str(face(f)) for f in factor))
+        print("polar_facets: " + " ".join(str(face(f)) for f in polar))
         print("minimal_prime_sets: " + " ".join(str(f) for f in psets))
         print("sr_minimal_primes: " + " ".join(monomial_prime_text(b) for b in primes))
     return 0
 
 
-def _witness_text(report: ClassificationReport, n: int) -> str:
-    w = report.witness
-    doc = w.to_dict()
-    if doc["kind"] == "missing_intersection":
+def _witness_text(w, n: int) -> str:
+    if isinstance(w, IntersectionWitness):
         words = " & ".join(word_text(m, n) for m in w.words)
         return f"missing intersection: {words} = {word_text(w.intersection, n)}"
-    if doc["kind"] == "pseudomonomial":
+    if isinstance(w, PseudomonomialWitness):
         return f"violating pseudomonomial: {w.pm}"
     return f"violating facet: {w.facet}"
 
@@ -260,7 +236,7 @@ def _cmd_check(args, code: Code) -> int:
             print(f"{report.property} {report.method}: "
                   f"{'true' if report.verdict else 'false'}")
             if report.witness is not None:
-                print(f"  witness: {_witness_text(report, code.n)}")
+                print(f"  witness: {_witness_text(report.witness, code.n)}")
             if report.certificate is not None:
                 for entry in report.certificate.entries:
                     print(f"  certificate: {entry.pm} i={entry.index} "

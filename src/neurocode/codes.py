@@ -39,6 +39,8 @@ def mask_from_neurons(neurons: Iterable[int], n: int) -> int:
 
 def neurons_from_mask(mask: int) -> tuple[int, ...]:
     """Unpack a mask into ascending 1-based neuron indices."""
+    if mask < 0:
+        raise ValueError(f"a mask is nonnegative, got {mask}")
     out = []
     i = 1
     while mask:
@@ -51,6 +53,8 @@ def neurons_from_mask(mask: int) -> tuple[int, ...]:
 
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask``, descending, including ``mask`` and 0."""
+    if mask < 0:
+        raise ValueError(f"a mask is nonnegative, got {mask}")
     s = mask
     while True:
         yield s
@@ -183,8 +187,9 @@ class Interval:
     hi: int
 
     def __post_init__(self) -> None:
-        if self.lo < 0 or self.lo & ~self.hi:
-            raise ValueError(f"interval requires lo <= hi, got [{self.lo}, {self.hi}]")
+        if self.lo < 0 or self.hi < 0 or self.lo & ~self.hi:
+            raise ValueError(
+                f"interval requires masks 0 <= lo <= hi, got [{self.lo}, {self.hi}]")
 
     def members(self, n: int) -> frozenset[int]:
         """The 2**(|hi| - |lo|) words w with lo <= w <= hi."""

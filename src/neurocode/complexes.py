@@ -171,7 +171,10 @@ def minimal_transversals(edges: Iterable[int]) -> frozenset[int]:
     admits no transversal at all.
     """
     trans: list[int] = [0]
-    for e in sorted(set(edges)):
+    edges = sorted(set(edges))
+    if edges and edges[0] < 0:
+        raise ValueError(f"an edge is a nonnegative mask, got {edges[0]}")
+    for e in edges:
         if e == 0:
             return frozenset()
         # transversals hitting the edge stay minimal; only extensions of the

@@ -11,14 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .classify import (
-    is_intersection_complete_bruteforce,
-    is_intersection_complete_cf,
-    is_intersection_complete_facets,
-    is_mic_algebraic,
-    is_mic_bruteforce,
-    is_mic_facets,
-)
+from .classify import _IC_METHODS, _MIC_METHODS
 from .codes import Code
 from .ideals import canonical_form
 
@@ -79,26 +72,25 @@ def survey(n: int) -> Iterator[SurveyRow]:
     return _survey_rows(n)
 
 
+def _agreed_verdict(methods: dict, code: Code, prop: str, code_id: int) -> bool:
+    """The verdict every decider of ``methods`` returns on ``code``."""
+    verdicts = {decide(code).verdict for decide in methods.values()}
+    if len(verdicts) > 1:
+        raise MethodDisagreement(
+            f"{prop} methods disagree on id {code_id} (n={code.n})")
+    return verdicts.pop()
+
+
 def _survey_rows(n: int) -> Iterator[SurveyRow]:
     for code_id in range(1, 2 ** (1 << n) - 1):
         code = code_from_id(n, code_id)
-        ic = (is_intersection_complete_bruteforce(code),
-              is_intersection_complete_cf(code),
-              is_intersection_complete_facets(code))
-        if not ic[0].verdict == ic[1].verdict == ic[2].verdict:
-            raise MethodDisagreement(
-                f"intersection-complete methods disagree on id {code_id} (n={n})")
-        mic = (is_mic_bruteforce(code),
-               is_mic_algebraic(code),
-               is_mic_facets(code))
-        if not mic[0].verdict == mic[1].verdict == mic[2].verdict:
-            raise MethodDisagreement(
-                f"max-intersection-complete methods disagree on id {code_id} (n={n})")
+        ic = _agreed_verdict(_IC_METHODS, code, "intersection-complete", code_id)
+        mic = _agreed_verdict(_MIC_METHODS, code, "max-intersection-complete", code_id)
         cf = canonical_form(code)
         nonmono = sum(1 for pm in cf.elements if pm.tau)
         yield SurveyRow(code_id, len(code.maximal_codewords),
                         len(code.maximal_intervals), len(cf.elements),
-                        nonmono, ic[0].verdict, mic[0].verdict)
+                        nonmono, ic, mic)
 
 
 def summarize(rows: Iterable[SurveyRow]) -> SurveySummary:

@@ -30,15 +30,11 @@ from neurocode import (
     submasks,
 )
 from neurocode.classify import (
+    _IC_METHODS,
+    _MIC_METHODS,
     FacetWitness,
     IntersectionWitness,
     PseudomonomialWitness,
-    is_intersection_complete_bruteforce,
-    is_intersection_complete_cf,
-    is_intersection_complete_facets,
-    is_mic_algebraic,
-    is_mic_bruteforce,
-    is_mic_facets,
 )
 from neurocode.complexes import sr_minimal_primes
 
@@ -320,24 +316,22 @@ def check_method_agreement(code: Code) -> tuple[bool, bool]:
     hold; intersection-complete implies max-intersection-complete; the facet
     MIC criterion agrees with its single-set form facet by facet (the same
     first failing facet, or none)."""
-    ic = (is_intersection_complete_bruteforce(code),
-          is_intersection_complete_cf(code),
-          is_intersection_complete_facets(code))
-    assert ic[0].verdict == ic[1].verdict == ic[2].verdict, f"IC disagreement on {code}"
-    mic = (is_mic_bruteforce(code), is_mic_algebraic(code), is_mic_facets(code))
-    assert mic[0].verdict == mic[1].verdict == mic[2].verdict, f"MIC disagreement on {code}"
-    assert mic[2].witness == mic_facets_single_set(code), \
+    ic = {name: decide(code) for name, decide in _IC_METHODS.items()}
+    assert len({r.verdict for r in ic.values()}) == 1, f"IC disagreement on {code}"
+    mic = {name: decide(code) for name, decide in _MIC_METHODS.items()}
+    assert len({r.verdict for r in mic.values()}) == 1, f"MIC disagreement on {code}"
+    assert mic["facets"].witness == mic_facets_single_set(code), \
         f"facet criterion and its single-set form disagree on {code}"
-    if ic[0].verdict:
-        assert mic[0].verdict, "intersection-complete must imply max-intersection-complete"
+    if ic["brute"].verdict:
+        assert mic["brute"].verdict, "intersection-complete must imply max-intersection-complete"
     if all(pm.tau == 0 for pm in canonical_form(code).elements):
-        assert mic[0].verdict, "monomial-only canonical form must be max-intersection-complete"
-    for report in (*ic, *mic):
+        assert mic["brute"].verdict, "monomial-only canonical form must be max-intersection-complete"
+    for report in (*ic.values(), *mic.values()):
         if not report.verdict:
             replay_witness(code, report)
-    if mic[1].verdict:
-        validate_certificate(code, mic[1])
-    return ic[0].verdict, mic[0].verdict
+    if mic["algebraic"].verdict:
+        validate_certificate(code, mic["algebraic"])
+    return ic["brute"].verdict, mic["brute"].verdict
 
 
 def all_prime_sets(code: Code) -> set[int]:

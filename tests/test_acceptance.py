@@ -41,6 +41,7 @@ from neurocode import (
     sr_minimal_primes,
     verify_dictionary,
 )
+from neurocode.classify import _IC_METHODS, _MIC_METHODS
 from neurocode.cli import run_command
 
 from oracles import (
@@ -266,10 +267,7 @@ def _ideal_complex_round_trip(ideal):
 @_SETTINGS
 @given(codes(max_n=4))
 def _witness_replay(code):
-    for decide in (is_intersection_complete_bruteforce,
-                   is_intersection_complete_cf,
-                   is_intersection_complete_facets,
-                   is_mic_bruteforce, is_mic_algebraic, is_mic_facets):
+    for decide in (*_IC_METHODS.values(), *_MIC_METHODS.values()):
         report = decide(code)
         if not report.verdict:
             replay_witness(code, report)

@@ -212,13 +212,25 @@ class TestAgreementAndWitnesses:
 
     def test_witness_replay_targets_false_reports(self):
         code = example_code()
-        for decide in (is_intersection_complete_bruteforce,
-                       is_intersection_complete_cf,
-                       is_intersection_complete_facets,
-                       is_mic_bruteforce, is_mic_algebraic, is_mic_facets):
+        for decide in (*classify._IC_METHODS.values(), *classify._MIC_METHODS.values()):
             report = decide(code)
             assert not report.verdict
             replay_witness(code, report)
+
+
+class TestDeciderTables:
+    def test_six_deciders_in_report_order(self):
+        # the CLI, the survey and the agreement oracle all iterate these
+        assert list(classify._IC_METHODS.items()) == [
+            ("brute", is_intersection_complete_bruteforce),
+            ("cf", is_intersection_complete_cf),
+            ("facets", is_intersection_complete_facets),
+        ]
+        assert list(classify._MIC_METHODS.items()) == [
+            ("brute", is_mic_bruteforce),
+            ("algebraic", is_mic_algebraic),
+            ("facets", is_mic_facets),
+        ]
 
 
 class TestReportSerialization:

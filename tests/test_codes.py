@@ -1,8 +1,11 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
-from neurocode import Code, Interval, InvalidCodeError, downward_closure
+from neurocode import (Code, Interval, InvalidCodeError, downward_closure,
+                       minimal_transversals, neurons_from_mask, submasks)
 from neurocode.codes import _down_closure, _intersection_closure, _set_bits
 
 from oracles import (
@@ -64,6 +67,32 @@ class TestInterval:
     def test_encloses(self):
         assert Interval(0, 0b111).encloses(Interval(0b001, 0b011))
         assert not Interval(0b001, 0b011).encloses(Interval(0, 0b111))
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Fail instead of hanging: SIGALRM raises in the test after ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestNegativeMasks:
+    @pytest.mark.parametrize("call", [
+        lambda: neurons_from_mask(-1),
+        lambda: list(submasks(-3)),
+        lambda: minimal_transversals([-1]),
+        lambda: Interval(0, -1),
+    ], ids=["neurons_from_mask", "submasks", "minimal_transversals", "Interval"])
+    def test_refused_up_front(self, call):
+        with deadline(1.0), pytest.raises(ValueError):
+            call()
 
 
 class TestCodeConstruction:

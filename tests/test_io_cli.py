@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,10 +10,13 @@ import pytest
 
 from neurocode import (
     Code,
+    MethodDisagreement,
     ParseError,
     ParseWarning,
+    classify,
     parse_code,
     render_code_document,
+    survey,
 )
 from neurocode.cli import run_command
 
@@ -186,6 +190,15 @@ class TestCliCommands:
                             "--input", example_file]) == 1
         assert run_command(["check", "mic", "--method", "cf",
                             "--input", example_file]) == 1
+
+    def test_check_method_usage_bytes(self, monkeypatch, capsys):
+        # the choices are "all" and the decider tables' names, first seen first
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_command(["check", "--help"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "usage: neurocode check [-h] [--json] [--input PATH]\n"
+            "                       [--method {all,brute,cf,facets,algebraic}]\n"
+            "                       {ic,mic}\n\n")
 
     def test_verify(self, example_file, capsys):
         assert run_command(["verify", "--input", example_file]) == 0
@@ -426,3 +439,37 @@ class TestSurveyCli:
         assert doc["schema"] == 1
         assert doc["summary"]["codes"] == 14
         assert len(doc["rows"]) == 14
+
+
+class TestMethodDisagreement:
+    @staticmethod
+    def invert(monkeypatch, table, name):
+        decide = table[name]
+
+        def inverted(code):
+            report = decide(code)
+            return dataclasses.replace(report, verdict=not report.verdict,
+                                       witness=None, certificate=None)
+        monkeypatch.setitem(table, name, inverted)
+
+    @pytest.mark.parametrize("table, name, prop", [
+        (classify._IC_METHODS, "cf", "intersection-complete"),
+        (classify._MIC_METHODS, "algebraic", "max-intersection-complete"),
+    ])
+    def test_survey_raises(self, table, name, prop, monkeypatch):
+        self.invert(monkeypatch, table, name)
+        with pytest.raises(MethodDisagreement) as err:
+            list(survey(2))
+        assert str(err.value) == f"{prop} methods disagree on id 1 (n=2)"
+
+    def test_check_prints_the_patched_report_in_table_order(
+            self, example_file, monkeypatch, capsys):
+        self.invert(monkeypatch, classify._MIC_METHODS, "algebraic")
+        assert run_command(["check", "mic", "--input", example_file]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "MIC brute_force: false",
+            "  witness: missing intersection: 12 & 13 = 1",
+            "MIC canonical_form: true",
+            "MIC factor_complex: false",
+            "  witness: violating facet: 1~2~3",
+        ]
