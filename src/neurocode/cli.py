@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from itertools import islice
@@ -332,6 +333,8 @@ def run_command(argv: list[str]) -> int:
             "verify": _cmd_verify,
         }[args.command]
         return handler(args, code)
+    except BrokenPipeError:
+        raise  # a closed stdout is not an input error: ``main`` handles it
     except (_UsageError, ValueError, OSError) as err:
         # ParseError, InvalidCodeError, CapExceededError and
         # SurveyTooLargeError are all ValueError subclasses
@@ -340,4 +343,12 @@ def run_command(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> None:
-    raise SystemExit(run_command(sys.argv[1:] if argv is None else argv))
+    try:
+        status = run_command(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+    except BrokenPipeError:
+        # the reader went away (``| head``): point stdout at devnull so the
+        # flush at exit cannot fail again, and exit 1 with nothing on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)

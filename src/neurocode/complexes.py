@@ -247,8 +247,12 @@ def complex_of_ideal(ideal: SquarefreeMonomialIdeal) -> SimplicialComplex:
 def ideal_of_complex(cx: SimplicialComplex) -> SquarefreeMonomialIdeal:
     """Stanley-Reisner ideal of a complex: its minimal non-faces.
 
-    Round-trips with ``complex_of_ideal`` on both sides.
+    Round-trips with ``complex_of_ideal`` on both sides. The void complex
+    (not even the empty face) is refused: its ideal is the unit ideal.
     """
+    if not cx.facets:
+        raise ValueError("the void complex has the unit ideal as its Stanley-Reisner "
+                         "ideal, which a SquarefreeMonomialIdeal cannot hold")
     full = cx.universe.full
     return SquarefreeMonomialIdeal(cx.universe, minimal_transversals(
         full & ~f for f in cx.facets))

@@ -6,6 +6,7 @@ from neurocode import classify
 from neurocode import (
     CapExceededError,
     Code,
+    Interval,
     PolarFace,
     Pseudomonomial,
     canonical_form,
@@ -15,6 +16,7 @@ from neurocode import (
     is_mic_algebraic,
     is_mic_bruteforce,
     is_mic_facets,
+    neurons_from_mask,
     verify_dictionary,
 )
 from neurocode.classify import FacetWitness, IntersectionWitness, PseudomonomialWitness
@@ -341,6 +343,23 @@ class TestVerifyDictionary:
         assert not gamma_delta.passed
         assert "from enumeration" in gamma_delta.detail
         assert not report.passed
+
+    def test_maximality_fails_when_the_kernel_narrows_an_interval(self):
+        # the canonical form and the factor complex are built from the same
+        # (wrong) intervals; the one-neuron widening test sees that the
+        # reported sub-interval is not maximal without going through them
+        for code in random_codes(6, 12, seed=4600):
+            miv = code.maximal_intervals
+            iv, sub = next((iv, sub) for iv in sorted(miv)
+                           for i in neurons_from_mask(iv.hi ^ iv.lo)
+                           for sub in (Interval(iv.lo | 1 << (i - 1), iv.hi),
+                                       Interval(iv.lo, iv.hi ^ 1 << (i - 1)))
+                           if not any(o.encloses(sub) for o in miv - {iv}))
+            code.__dict__["maximal_intervals"] = miv - {iv} | {sub}
+            report = verify_dictionary(code)
+            maximality = next(c for c in report.checks if c.name == "maximality")
+            assert not maximality.passed
+            assert not report.passed
 
     def test_cap_refuses_before_the_intervals(self):
         code = Code(13, {0, 1, 3})

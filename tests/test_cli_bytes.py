@@ -1,0 +1,107 @@
+"""The CLI's exit status, stdout and stderr, pinned as sha256 digests.
+
+There is one digest per (command, format, n), each over the fixed-seed
+random codes of that n (densities 0.1, 0.5 and 0.9), so a failure names
+which output moved. ``timing_us`` is zeroed before hashing; it is the
+only field that varies from run to run.
+
+The digests in ``cli_bytes.json`` are meant to be recorded once and then
+only compared against. When an output change is intended, record them
+again with ``PYTHONPATH=src python tests/test_cli_bytes.py`` and say so.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from neurocode import render_code_document
+from neurocode.cli import run_command
+
+from oracles import random_codes
+
+DIGESTS = Path(__file__).with_name("cli_bytes.json")
+
+COMMANDS = {
+    "cf": ["cf"],
+    "intervals": ["intervals"],
+    "decompose": ["decompose"],
+    "complexes": ["complexes"],
+    "verify": ["verify"],
+    "check ic": ["check", "ic"],
+    "check mic": ["check", "mic"],
+    **{f"check ic {m}": ["check", "ic", "--method", m]
+       for m in ("brute", "cf", "facets")},
+    **{f"check mic {m}": ["check", "mic", "--method", m]
+       for m in ("brute", "algebraic", "facets")},
+}
+SMALL_ONLY = {"complexes", "verify"}  # n <= 6: dualizations dominate above
+
+
+def _cases() -> dict[str, list[tuple[list[str], str]]]:
+    """Name -> the (argv, stdin text) invocations hashed into one digest."""
+    cases = {}
+    for n in range(1, 9):
+        docs = [render_code_document(c) for c in random_codes(n, 3, seed=9000 + n)]
+        for name, argv in COMMANDS.items():
+            if name in SMALL_ONLY and n > 6:
+                continue
+            cases[f"{name} text n={n}"] = [(argv, d) for d in docs]
+            cases[f"{name} json n={n}"] = [(argv + ["--json"], d) for d in docs]
+    example = "n=3\n000\n010\n001\n110\n101\n"
+    cases["check ic --method algebraic (does not apply)"] = [
+        (["check", "ic", "--method", "algebraic"], example)]
+    cases["check mic --method cf (does not apply)"] = [
+        (["check", "mic", "--method", "cf"], example)]
+    cases["survey text n=2"] = [(["survey", "--n", "2"], "")]
+    cases["survey json n=2"] = [(["survey", "--n", "2", "--json"], "")]
+    cases["duplicate-word warning"] = [(["cf"], "n=2\n00\n01\n00\n11\n")]
+    cases["parse error"] = [(["cf"], "n=2\n00\n012\n")]
+    cases["cap refusal n=13"] = [
+        (argv, "n=13\n{1}\n{1,2}\n{13}\n") for argv in (["cf"], ["verify"])]
+    return cases
+
+
+_TIMING = re.compile(r'"timing_us": \d+')
+
+
+def _digest(invocations) -> str:
+    h = hashlib.sha256()
+    for argv, text in invocations:
+        out, err = io.StringIO(), io.StringIO()
+        stdin, sys.stdin = sys.stdin, io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = run_command(argv)
+        finally:
+            sys.stdin = stdin
+        stdout = _TIMING.sub('"timing_us": 0', out.getvalue())
+        h.update(json.dumps([status, stdout, err.getvalue()]).encode())
+    return h.hexdigest()
+
+
+CASES = _cases()
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(DIGESTS.read_text())
+
+
+def test_every_case_is_recorded(recorded):
+    assert sorted(recorded) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_bytes(name, recorded):
+    assert _digest(CASES[name]) == recorded[name]
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(
+        {name: _digest(inv) for name, inv in sorted(CASES.items())}, indent=1) + "\n")

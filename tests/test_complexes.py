@@ -130,6 +130,11 @@ class TestIdealComplexRoundTrip:
             cx = complex_of_ideal(ideal)
             assert complex_of_ideal(ideal_of_complex(cx)) == cx
 
+    def test_void_complex_refused_by_name(self):
+        void = SimplicialComplex(Universe(3, polar=False), frozenset())
+        with pytest.raises(ValueError, match="void complex has the unit ideal"):
+            ideal_of_complex(void)
+
 
 class TestFactorComplex:
     def test_complement_example(self):

@@ -20,7 +20,7 @@ from neurocode import (
 )
 from neurocode.cli import run_command
 
-from oracles import all_codes, example_code, sample_codes
+from oracles import all_codes, example_code, random_codes, sample_codes
 
 EXAMPLE_DOC = "n=3\n000\n010\n001\n110\n101\n"
 
@@ -253,6 +253,24 @@ class TestCliCommands:
         assert proc.stderr == (
             b"warning: <stdin>:3: duplicate word '0' ignored\n"
             b"error: <stdin>:4: code contains every subset of [n]; proper codes required\n")
+
+    def test_closed_stdout_exits_one_with_empty_stderr(self, tmp_path):
+        # about 0.5 MB of intervals, far more than a pipe buffers, so the
+        # CLI is still writing when the reader closes after one line
+        path = tmp_path / "n14.code"
+        path.write_text(render_code_document(
+            next(random_codes(14, 1, seed=7, densities=(0.5,)))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "neurocode", "intervals", "--input", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=Path(__file__).resolve().parent.parent)
+        assert proc.stdout.readline() == b"[{},{1,4}]\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == b""
 
     @pytest.mark.parametrize("argv", [
         ["cf"], ["complexes"], ["verify"], ["check", "ic", "--method", "cf"],
