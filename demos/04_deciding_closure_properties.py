@@ -59,4 +59,7 @@ for entry in report.certificate.entries:
 # factor-complex facets are three views of the same data; verify_dictionary
 # re-derives every correspondence on a given code.
 
-print(verify_dictionary(code).to_dict())
+report = verify_dictionary(code)
+for check in report.checks:
+    print(f"{check.name}: {'pass' if check.passed else check.detail}")
+print("dictionary holds:", report.passed)

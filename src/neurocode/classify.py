@@ -14,8 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from .codes import (Code, Interval, _clear_masks, _intersection_closure,
-                    _member_bits, _minimal_members, _set_bits, full_mask,
-                    neurons_from_mask, submasks)
+                    _member_bits, _minimal_members, _set_bits, full_mask, submasks)
 from .complexes import (
     PolarFace,
     complex_of_ideal,
@@ -35,13 +34,6 @@ class IntersectionWitness:
     words: tuple[int, ...]
     intersection: int
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "missing_intersection",
-            "words": [list(neurons_from_mask(w)) for w in self.words],
-            "intersection": list(neurons_from_mask(self.intersection)),
-        }
-
 
 @dataclass(frozen=True)
 class PseudomonomialWitness:
@@ -49,28 +41,12 @@ class PseudomonomialWitness:
 
     pm: Pseudomonomial
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "pseudomonomial",
-            "sigma": list(neurons_from_mask(self.pm.sigma)),
-            "tau": list(neurons_from_mask(self.pm.tau)),
-            "text": str(self.pm),
-        }
-
 
 @dataclass(frozen=True)
 class FacetWitness:
     """Factor-complex facet violating the property's criterion."""
 
     facet: PolarFace
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "facet",
-            "x": list(neurons_from_mask(self.facet.xpart)),
-            "y": list(neurons_from_mask(self.facet.ypart)),
-            "text": str(self.facet),
-        }
 
 
 @dataclass(frozen=True)
@@ -83,13 +59,6 @@ class MicCertificateEntry:
     index: int
     contained_prime_sets: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "pm": str(self.pm),
-            "index": self.index,
-            "contained_prime_sets": list(self.contained_prime_sets),
-        }
-
 
 @dataclass(frozen=True)
 class MicCertificate:
@@ -97,12 +66,6 @@ class MicCertificate:
 
     prime_vars: tuple[int, ...]
     entries: tuple[MicCertificateEntry, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "minimal_primes": [list(neurons_from_mask(b)) for b in self.prime_vars],
-            "entries": [e.to_dict() for e in self.entries],
-        }
 
 
 @dataclass(frozen=True)
@@ -112,22 +75,9 @@ class ClassificationReport:
     property: str
     method: str
     verdict: bool
-    n: int
     witness: object | None = None
     certificate: MicCertificate | None = None
     elapsed_us: int = field(default=0, compare=False)
-
-    def to_dict(self) -> dict:
-        doc = {
-            "property": self.property,
-            "method": self.method,
-            "verdict": self.verdict,
-            "witness": self.witness.to_dict() if self.witness is not None else None,
-            "timing_us": self.elapsed_us,
-        }
-        if self.certificate is not None:
-            doc["certificate"] = self.certificate.to_dict()
-        return doc
 
 
 def _now() -> int:
@@ -158,7 +108,7 @@ def is_intersection_complete_bruteforce(code: Code) -> ClassificationReport:
             witness = IntersectionWitness((w1, w2), w1 & w2)
             break
     return ClassificationReport(
-        "IC", "brute_force", witness is None, code.n, witness,
+        "IC", "brute_force", witness is None, witness,
         elapsed_us=(_now() - t0) // 1000)
 
 
@@ -173,7 +123,7 @@ def is_intersection_complete_cf(code: Code) -> ClassificationReport:
             witness = PseudomonomialWitness(pm)
             break
     return ClassificationReport(
-        "IC", "canonical_form", witness is None, code.n, witness,
+        "IC", "canonical_form", witness is None, witness,
         elapsed_us=(_now() - t0) // 1000)
 
 
@@ -190,7 +140,7 @@ def is_intersection_complete_facets(code: Code) -> ClassificationReport:
             witness = FacetWitness(PolarFace.from_mask(fmask, n))
             break
     return ClassificationReport(
-        "IC", "factor_complex", witness is None, code.n, witness,
+        "IC", "factor_complex", witness is None, witness,
         elapsed_us=(_now() - t0) // 1000)
 
 
@@ -209,7 +159,7 @@ def is_mic_bruteforce(code: Code) -> ClassificationReport:
         witness = IntersectionWitness(
             tuple(sorted(m for m in maxw if v & ~m == 0)), v)
     return ClassificationReport(
-        "MIC", "brute_force", witness is None, code.n, witness,
+        "MIC", "brute_force", witness is None, witness,
         elapsed_us=(_now() - t0) // 1000)
 
 
@@ -252,7 +202,7 @@ def is_mic_algebraic(code: Code) -> ClassificationReport:
     verdict = witness is None
     certificate = MicCertificate(tuple(prime_vars), tuple(entries)) if verdict else None
     return ClassificationReport(
-        "MIC", "canonical_form", verdict, code.n, witness, certificate,
+        "MIC", "canonical_form", verdict, witness, certificate,
         elapsed_us=(_now() - t0) // 1000)
 
 
@@ -282,7 +232,7 @@ def is_mic_facets(code: Code) -> ClassificationReport:
             witness = FacetWitness(PolarFace.from_mask(fmask, n))
             break
     return ClassificationReport(
-        "MIC", "factor_complex", witness is None, code.n, witness,
+        "MIC", "factor_complex", witness is None, witness,
         elapsed_us=(_now() - t0) // 1000)
 
 
@@ -305,9 +255,6 @@ class DictionaryCheck:
     passed: bool
     detail: str | None = None
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class DictionaryReport:
@@ -316,9 +263,6 @@ class DictionaryReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
 
 def _canonical_form_by_enumeration(code: Code) -> frozenset[Pseudomonomial]:

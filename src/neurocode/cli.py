@@ -8,6 +8,7 @@ ordered, so runs are reproducible; JSON documents carry ``"schema": 1``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -57,27 +58,17 @@ def _build_parser() -> _Parser:
     io_parent.add_argument("--input", metavar="PATH",
                            help="read the code from PATH (default: stdin)")
 
-    sub.add_parser("cf", parents=[io_parent],
-                   help="canonical form of the neural ideal")
-    sub.add_parser("intervals", parents=[io_parent],
-                   help="maximal intervals of the code")
-    sub.add_parser("decompose", parents=[io_parent],
-                   help="irredundant prime decomposition of the neural ideal")
-    sub.add_parser("complexes", parents=[io_parent],
-                   help="code complex, factor complex, polar complex, "
-                        "prime-sets and minimal primes")
-    check = sub.add_parser("check", parents=[io_parent],
-                           help="decide a closure property by one or all methods")
-    check.add_argument("property", choices=["ic", "mic"])
-    check.add_argument("--method", default="all", choices=[
+    commands = {}
+    for name, handler, help_ in _COMMANDS:
+        commands[name] = sub.add_parser(
+            name, parents=[] if name == "survey" else [io_parent], help=help_)
+        commands[name].set_defaults(handler=handler)
+    commands["check"].add_argument("property", choices=["ic", "mic"])
+    commands["check"].add_argument("--method", default="all", choices=[
         "all", *dict.fromkeys([*_IC_METHODS, *_MIC_METHODS])])
-    sub.add_parser("verify", parents=[io_parent],
-                   help="run the correspondence checks on the code")
-    surv = sub.add_parser("survey",
-                          help="enumerate every valid code on n neurons")
-    surv.add_argument("--n", type=int, required=True)
-    surv.add_argument("--json", action="store_true",
-                      help="emit JSON instead of text")
+    commands["survey"].add_argument("--n", type=int, required=True)
+    commands["survey"].add_argument("--json", action="store_true",
+                                    help="emit JSON instead of text")
     return parser
 
 
@@ -186,30 +177,57 @@ def _cmd_decompose(args, code: Code) -> int:
 
 def _cmd_complexes(args, code: Code) -> int:
     factor = sorted(factor_complex(code).facets)  # capped: refuses first
-    delta = sorted(downward_closure(code).facets)
-    polar = sorted(polar_complex(code).facets)
-    psets = sorted(prime_sets(code))
-    primes = sorted(sr_minimal_primes(code))
     n = code.n
 
-    def face(mask: int) -> PolarFace:
-        return PolarFace.from_mask(mask, n)
+    def face_json(mask: int) -> dict:
+        return _face_json(PolarFace.from_mask(mask, n))
 
+    def face_text(mask: int) -> str:
+        return str(PolarFace.from_mask(mask, n))
+
+    # (key, sorted items, JSON form, text form), in output order
+    lists = (
+        ("delta_facets", sorted(downward_closure(code).facets), _mask_json,
+         lambda f: word_text(f, n)),
+        ("factor_facets", factor, face_json, face_text),
+        ("polar_facets", sorted(polar_complex(code).facets), face_json, face_text),
+        ("minimal_prime_sets", sorted(prime_sets(code)), _face_json, str),
+        ("sr_minimal_primes", sorted(sr_minimal_primes(code)), _mask_json,
+         monomial_prime_text),
+    )
     if args.json:
         doc = _base_doc("complexes", code)
-        doc["delta_facets"] = _Rendered(delta, _mask_json)
-        doc["factor_facets"] = _Rendered(factor, lambda f: _face_json(face(f)))
-        doc["polar_facets"] = _Rendered(polar, lambda f: _face_json(face(f)))
-        doc["minimal_prime_sets"] = _Rendered(psets, _face_json)
-        doc["sr_minimal_primes"] = _Rendered(primes, _mask_json)
+        for key, items, to_json, _ in lists:
+            doc[key] = _Rendered(items, to_json)
         _emit_json(doc)
     else:
-        print("delta_facets: " + " ".join(word_text(f, n) for f in delta))
-        print("factor_facets: " + " ".join(str(face(f)) for f in factor))
-        print("polar_facets: " + " ".join(str(face(f)) for f in polar))
-        print("minimal_prime_sets: " + " ".join(str(f) for f in psets))
-        print("sr_minimal_primes: " + " ".join(monomial_prime_text(b) for b in primes))
+        for key, items, _, to_text in lists:
+            print(f"{key}: " + " ".join(map(to_text, items)))
     return 0
+
+
+def _witness_json(w) -> dict:
+    if isinstance(w, IntersectionWitness):
+        return {"kind": "missing_intersection",
+                "words": [_mask_json(m) for m in w.words],
+                "intersection": _mask_json(w.intersection)}
+    if isinstance(w, PseudomonomialWitness):
+        return {"kind": "pseudomonomial", **_pm_json(w.pm)}
+    return {"kind": "facet", **_face_json(w.facet), "text": str(w.facet)}
+
+
+def _report_json(report) -> dict:
+    doc = {"property": report.property, "method": report.method,
+           "verdict": report.verdict,
+           "witness": None if report.witness is None else _witness_json(report.witness),
+           "timing_us": report.elapsed_us}
+    if report.certificate is not None:
+        doc["certificate"] = {
+            "minimal_primes": [_mask_json(b) for b in report.certificate.prime_vars],
+            "entries": [{"pm": str(e.pm), "index": e.index,
+                         "contained_prime_sets": list(e.contained_prime_sets)}
+                        for e in report.certificate.entries]}
+    return doc
 
 
 def _witness_text(w, n: int) -> str:
@@ -230,7 +248,7 @@ def _cmd_check(args, code: Code) -> int:
     reports = [table[name](code) for name in names]
     if args.json:
         doc = _base_doc("check", code)
-        doc["reports"] = [r.to_dict() for r in reports]
+        doc["reports"] = [_report_json(r) for r in reports]
         _emit_json(doc)
     else:
         for report in reports:
@@ -249,7 +267,8 @@ def _cmd_verify(args, code: Code) -> int:
     report = verify_dictionary(code)
     if args.json:
         doc = _base_doc("verify", code)
-        doc.update(report.to_dict())
+        doc["passed"] = report.passed
+        doc["checks"] = [dataclasses.asdict(c) for c in report.checks]
         _emit_json(doc)
     else:
         for check in report.checks:
@@ -258,36 +277,26 @@ def _cmd_verify(args, code: Code) -> int:
     return 0 if report.passed else 2
 
 
+# The names of the SurveyRow and SurveySummary fields, in field order, as
+# the survey's JSON keys and text labels.
+_SURVEY_COLUMNS = ("id", "max_codewords", "max_intervals", "cf_size",
+                   "cf_nonmonomials", "ic", "mic")
+_SUMMARY_KEYS = ("codes", "intersection_complete", "max_intersection_complete",
+                 "max_cf_nonmonomials_by_max_codewords")
+
+
 def _cmd_survey(args) -> int:
     rows_iter = survey(args.n)
     if args.json:
         rows = list(rows_iter)
-        summary = summarize(rows)
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "survey",
-            "n": args.n,
-            "rows": [{"id": r.code_id,
-                      "max_codewords": r.max_codewords,
-                      "max_intervals": r.max_intervals,
-                      "cf_size": r.cf_size,
-                      "cf_nonmonomials": r.cf_nonmonomials,
-                      "ic": r.ic,
-                      "mic": r.mic} for r in rows],
-            "summary": {
-                "codes": summary.codes,
-                "intersection_complete": summary.ic_count,
-                "max_intersection_complete": summary.mic_count,
-                "max_cf_nonmonomials_by_max_codewords": {
-                    str(k): v for k, v in summary.max_cf_nonmonomials.items()},
-            },
-        }
+        doc = {"schema": SCHEMA_VERSION, "command": "survey", "n": args.n,
+               "rows": [dict(zip(_SURVEY_COLUMNS, vars(r).values())) for r in rows],
+               "summary": dict(zip(_SUMMARY_KEYS, vars(summarize(rows)).values()))}
         _emit_json(doc)
         return 0
     out = sys.stdout
     out.write(f"# survey n={args.n}: {2 ** (1 << args.n) - 2} codes\n")
-    out.write("# columns: id max_codewords max_intervals cf_size "
-              "cf_nonmonomials ic mic\n")
+    out.write(f"# columns: {' '.join(_SURVEY_COLUMNS)}\n")
 
     def written_rows():
         for r in rows_iter:
@@ -298,12 +307,25 @@ def _cmd_survey(args) -> int:
             yield r
 
     summary = summarize(written_rows())
-    out.write(f"# codes: {summary.codes}\n")
-    out.write(f"# intersection_complete: {summary.ic_count}\n")
-    out.write(f"# max_intersection_complete: {summary.mic_count}\n")
-    buckets = " ".join(f"{k}={v}" for k, v in summary.max_cf_nonmonomials.items())
-    out.write(f"# max_cf_nonmonomials_by_max_codewords: {buckets}\n")
+    for key, value in zip(_SUMMARY_KEYS, vars(summary).values()):
+        if isinstance(value, dict):  # the buckets
+            value = " ".join(f"{k}={v}" for k, v in value.items())
+        out.write(f"# {key}: {value}\n")
     return 0
+
+
+# (name, handler, help) of every command, in help order; every handler
+# but survey's also takes the code it reads
+_COMMANDS = (
+    ("cf", _cmd_cf, "canonical form of the neural ideal"),
+    ("intervals", _cmd_intervals, "maximal intervals of the code"),
+    ("decompose", _cmd_decompose, "irredundant prime decomposition of the neural ideal"),
+    ("complexes", _cmd_complexes,
+     "code complex, factor complex, polar complex, prime-sets and minimal primes"),
+    ("check", _cmd_check, "decide a closure property by one or all methods"),
+    ("verify", _cmd_verify, "run the correspondence checks on the code"),
+    ("survey", _cmd_survey, "enumerate every valid code on n neurons"),
+)
 
 
 def run_command(argv: list[str]) -> int:
@@ -321,18 +343,9 @@ def run_command(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        if args.command == "survey":
-            return _cmd_survey(args)
-        code = _read_code(args)
-        handler = {
-            "cf": _cmd_cf,
-            "intervals": _cmd_intervals,
-            "decompose": _cmd_decompose,
-            "complexes": _cmd_complexes,
-            "check": _cmd_check,
-            "verify": _cmd_verify,
-        }[args.command]
-        return handler(args, code)
+        if args.command == "survey":  # the one command that reads no code
+            return args.handler(args)
+        return args.handler(args, _read_code(args))
     except BrokenPipeError:
         raise  # a closed stdout is not an input error: ``main`` handles it
     except (_UsageError, ValueError, OSError) as err:

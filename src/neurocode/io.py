@@ -28,7 +28,7 @@ class ParseWarning(UserWarning):
     pass
 
 
-_N_LINE = re.compile(r"^n\s*=\s*(\d+)$")
+_N_LINE = re.compile(r"^n\s*=\s*([0-9]+)$")
 _BINARY = re.compile(r"^[01]+$")
 _DIGITS = re.compile(r"^[0-9]+$")
 _BRACES = re.compile(r"^\{([0-9,\s]*)\}$")
@@ -36,11 +36,7 @@ _BRACES = re.compile(r"^\{([0-9,\s]*)\}$")
 
 def _parse_word(token: str, n: int) -> int:
     if _BINARY.match(token) and len(token) == n:
-        mask = 0
-        for k, ch in enumerate(token):
-            if ch == "1":
-                mask |= 1 << k
-        return mask
+        return int(token[::-1], 2)  # character k is neuron k + 1, bit k
     m = _BRACES.match(token)
     if m:
         body = m.group(1).strip()

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -17,9 +18,11 @@ from neurocode import (
     is_mic_bruteforce,
     is_mic_facets,
     neurons_from_mask,
+    render_code_document,
     verify_dictionary,
 )
 from neurocode.classify import FacetWitness, IntersectionWitness, PseudomonomialWitness
+from neurocode.cli import run_command
 
 from oracles import (
     all_codes,
@@ -235,10 +238,20 @@ class TestDeciderTables:
         ]
 
 
+def cli_document(argv, code, monkeypatch, capsys) -> tuple[int, dict]:
+    """Exit status and parsed ``--json`` document of the CLI on ``code``."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(render_code_document(code)))
+    status = run_command([*argv, "--json"])
+    return status, json.loads(capsys.readouterr().out)
+
+
 class TestReportSerialization:
-    def test_false_report_round_trips_through_json(self):
-        report = is_mic_bruteforce(example_code())
-        doc = json.loads(json.dumps(report.to_dict()))
+    # the CLI owns the JSON forms of reports, witnesses and certificates
+    def test_false_report_round_trips_through_json(self, monkeypatch, capsys):
+        status, out = cli_document(["check", "mic", "--method", "brute"],
+                                   example_code(), monkeypatch, capsys)
+        assert status == 2
+        [doc] = out["reports"]
         assert doc["property"] == "MIC"
         assert doc["method"] == "brute_force"
         assert doc["verdict"] is False
@@ -249,9 +262,12 @@ class TestReportSerialization:
         }
         assert isinstance(doc["timing_us"], int)
 
-    def test_certificate_serialization(self):
+    def test_certificate_serialization(self, monkeypatch, capsys):
         code = Code(3, {0, 0b001, 0b010, 0b100, 0b011, 0b101})
-        doc = is_mic_algebraic(code).to_dict()
+        status, out = cli_document(["check", "mic", "--method", "algebraic"],
+                                   code, monkeypatch, capsys)
+        assert status == 0
+        [doc] = out["reports"]
         assert "certificate" in doc
         assert doc["certificate"]["minimal_primes"] == [[3], [2]] or \
             doc["certificate"]["minimal_primes"] == [[2], [3]]
@@ -310,8 +326,9 @@ class TestVerifyDictionary:
         for code in all_codes(3):
             assert verify_dictionary(code).passed
 
-    def test_json_shape(self):
-        doc = verify_dictionary(example_code()).to_dict()
+    def test_json_shape(self, monkeypatch, capsys):
+        status, doc = cli_document(["verify"], example_code(), monkeypatch, capsys)
+        assert status == 0
         assert doc["passed"] is True
         assert all(c["passed"] for c in doc["checks"])
 

@@ -2,8 +2,9 @@
 
 There is one digest per (command, format, n), each over the fixed-seed
 random codes of that n (densities 0.1, 0.5 and 0.9), so a failure names
-which output moved. ``timing_us`` is zeroed before hashing; it is the
-only field that varies from run to run.
+which output moved. n runs to 11, so braced words (n >= 10) and facets
+with a vertex index above 9 are covered. ``timing_us`` is zeroed before
+hashing; it is the only field that varies from run to run.
 
 The digests in ``cli_bytes.json`` are meant to be recorded once and then
 only compared against. When an output change is intended, record them
@@ -46,7 +47,7 @@ SMALL_ONLY = {"complexes", "verify"}  # n <= 6: dualizations dominate above
 def _cases() -> dict[str, list[tuple[list[str], str]]]:
     """Name -> the (argv, stdin text) invocations hashed into one digest."""
     cases = {}
-    for n in range(1, 9):
+    for n in range(1, 12):
         docs = [render_code_document(c) for c in random_codes(n, 3, seed=9000 + n)]
         for name, argv in COMMANDS.items():
             if name in SMALL_ONLY and n > 6:
@@ -58,8 +59,9 @@ def _cases() -> dict[str, list[tuple[list[str], str]]]:
         (["check", "ic", "--method", "algebraic"], example)]
     cases["check mic --method cf (does not apply)"] = [
         (["check", "mic", "--method", "cf"], example)]
-    cases["survey text n=2"] = [(["survey", "--n", "2"], "")]
-    cases["survey json n=2"] = [(["survey", "--n", "2", "--json"], "")]
+    for n in ("2", "3"):
+        cases[f"survey text n={n}"] = [(["survey", "--n", n], "")]
+        cases[f"survey json n={n}"] = [(["survey", "--n", n, "--json"], "")]
     cases["duplicate-word warning"] = [(["cf"], "n=2\n00\n01\n00\n11\n")]
     cases["parse error"] = [(["cf"], "n=2\n00\n012\n")]
     cases["cap refusal n=13"] = [

@@ -59,6 +59,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_code("n=17\n0\n")
 
+    @pytest.mark.parametrize("digit", ["\u0663", "\uff13"])  # Arabic-Indic, fullwidth 3
+    def test_non_ascii_neuron_count_rejected(self, digit):
+        with pytest.raises(ParseError) as err:
+            parse_code(f"n={digit}\n12\n")
+        assert err.value.line == 1
+
     def test_word_out_of_range(self):
         with pytest.raises(ParseError) as err:
             parse_code("n=2\n3\n", source="doc")
