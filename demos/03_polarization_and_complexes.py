@@ -12,6 +12,7 @@ effective part of the polar complex.
 
 from neurocode import (
     Code,
+    PolarFace,
     canonical_form,
     face_to_interval,
     factor_complex,
@@ -34,10 +35,9 @@ code = Code.from_neuron_sets(3, [(1,), (2, 3), (1, 2, 3)])  # {1, 23, 123}
 for pm in canonical_form(code):
     print(f"{pm}  ->  {polarize(pm)}")
 
-print("polar ideal generators:",
-      " ".join(str(f) for f in sorted(polar_ideal(code).generator_faces())))
-print("factor ideal generators:",
-      " ".join(str(f) for f in sorted(factor_ideal(code).generator_faces())))
+for name, ideal in (("polar", polar_ideal(code)), ("factor", factor_ideal(code))):
+    faces = sorted(PolarFace.from_mask(g, 3) for g in ideal.generators)
+    print(f"{name} ideal generators:", " ".join(map(str, faces)))
 
 ###############################################################################
 # The two complexes

@@ -4,10 +4,11 @@ Deciding intersection-completeness three ways
 
 A code is intersection-complete (IC) when it is closed under intersections
 of codewords, and max-intersection-complete (MIC) when it is closed under
-intersections of maximal codewords. Each property has three independent
-deciders: brute-force closure, a canonical-form criterion, and a criterion
-on the factor complex of the complement code. They always agree; false
-verdicts come with replayable witnesses.
+intersections of maximal codewords. Each property has three deciders:
+brute-force closure, a canonical-form criterion, and a criterion on the
+factor complex of the complement code. The last two read the same maximal
+intervals, so only the brute-force one is an independent route. They
+always agree; false verdicts come with replayable witnesses.
 """
 
 from neurocode import (

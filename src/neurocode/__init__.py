@@ -1,11 +1,12 @@
 """Neural codes, pseudomonomial ideals, and their simplicial complexes.
 
 The library decides whether a code is intersection-complete or
-max-intersection-complete in three mutually independent ways per
-property (brute-force closure, a canonical-form criterion, and a
-criterion on the factor complex of the complement code), and exposes the
-full dictionary between codes, neural ideals, Stanley-Reisner ideals,
-and the factor and polar complexes obtained by polarization.
+max-intersection-complete by three criteria per property (brute-force
+closure, a canonical-form criterion, and a criterion on the factor
+complex of the complement code) over two computations: the last two read
+the same maximal intervals and codewords. It exposes the full dictionary
+between codes, neural ideals, Stanley-Reisner ideals, and the factor and
+polar complexes obtained by polarization.
 
 Everything is exact, deterministic combinatorics on subset bitmasks.
 """

@@ -1,9 +1,11 @@
 """Deciders for intersection-complete and max-intersection-complete codes.
 
-Each property gets three mutually independent methods: a brute-force
-closure check, a criterion on the canonical form, and a criterion on the
-factor complex of the complement code. False verdicts carry a replayable
-witness; true max-intersection verdicts from the algebraic method carry a
+Each property gets three criteria: a brute-force closure check, one on
+the canonical form, and one on the factor complex of the complement code.
+The last two read the same maximal intervals and maximal codewords, so
+they are one computation; the brute-force deciders and ``tests/oracles.py``
+are the independent routes. False verdicts carry a replayable witness;
+true max-intersection verdicts from the algebraic method carry a
 certificate. ``verify_dictionary`` checks the correspondences the other
 methods rely on, end to end, on a single code.
 """
@@ -305,7 +307,8 @@ def verify_dictionary(code: Code) -> DictionaryReport:
         enumeration of the minimal pseudomonomials of that ideal.
     beta: the factor-complex facets (read off the same intervals) against
         the facets of the complex of the factor ideal, which is built from
-        the primary decomposition by a hypergraph dualization.
+        the primary decomposition by a hypergraph dualization. Both read
+        the same intervals, so this catches dualization bugs only.
     maximality: every reported interval lies in the code and no interval
         one neuron wider does; any strictly larger interval contains a
         one-neuron widening, so this tests maximality without the interval

@@ -197,10 +197,6 @@ class Interval:
             raise ValueError(f"interval endpoint {self.hi} does not fit {n} neurons")
         return frozenset(self.lo | s for s in submasks(self.hi ^ self.lo))
 
-    def encloses(self, other: "Interval") -> bool:
-        """Interval containment: [c1,d1] lies in [c2,d2] iff c2 <= c1 and d1 <= d2."""
-        return self.lo & ~other.lo == 0 and other.hi & ~self.hi == 0
-
 
 @dataclass(frozen=True)
 class Code:

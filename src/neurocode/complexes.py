@@ -13,9 +13,7 @@ from typing import Iterable
 
 from .codes import (
     _is_antichain,
-    _maximal_members,
     _memo,
-    _minimal_members,
     Code,
     Interval,
     full_mask,
@@ -42,12 +40,6 @@ class PolarFace:
     def __post_init__(self) -> None:
         if self.xpart < 0 or self.ypart < 0:
             raise ValueError("face parts must be subset masks")
-
-    def mask(self, n: int) -> int:
-        """Pack into a 2n-bit mask (barred vertex i-bar at bit n + i - 1)."""
-        if (self.xpart | self.ypart) & ~full_mask(n):
-            raise ValueError(f"face {self} does not fit in {n} neurons")
-        return self.xpart | self.ypart << n
 
     @classmethod
     def from_mask(cls, mask: int, n: int) -> "PolarFace":
@@ -81,20 +73,6 @@ class Universe:
         return (1 << self.size) - 1
 
 
-def _check_faces(universe: Universe, faces) -> None:
-    full = universe.full
-    for f in faces:
-        if f < 0 or f & ~full:
-            raise ValueError(f"facet {f} outside the universe")
-
-
-def _check_supports(universe: Universe, supports) -> None:
-    full = universe.full
-    for g in supports:
-        if g <= 0 or g & ~full:
-            raise ValueError(f"generator support {g} invalid for the universe")
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
     """A complex stored by its facets over a declared universe.
@@ -109,16 +87,12 @@ class SimplicialComplex:
     def __post_init__(self) -> None:
         facets = frozenset(self.facets)
         object.__setattr__(self, "facets", facets)
-        _check_faces(self.universe, facets)
+        full = self.universe.full
+        for f in facets:
+            if f < 0 or f & ~full:
+                raise ValueError(f"facet {f} outside the universe")
         if not _is_antichain(list(facets)):
             raise ValueError("facets must form an antichain")
-
-    @classmethod
-    def from_faces(cls, universe: Universe, faces: Iterable[int]) -> "SimplicialComplex":
-        """Build from any face family by keeping the maximal ones."""
-        fs = set(faces)
-        _check_faces(universe, fs)  # the filter needs nonnegative masks
-        return cls(universe, frozenset(_maximal_members(list(fs))))
 
     def is_face(self, mask: int) -> bool:
         return any(mask & ~f == 0 for f in self.facets)
@@ -140,26 +114,12 @@ class SquarefreeMonomialIdeal:
     def __post_init__(self) -> None:
         gens = frozenset(self.generators)
         object.__setattr__(self, "generators", gens)
-        _check_supports(self.universe, gens)
+        full = self.universe.full
+        for g in gens:
+            if g <= 0 or g & ~full:
+                raise ValueError(f"generator support {g} invalid for the universe")
         if not _is_antichain(list(gens)):
             raise ValueError("generators must form an antichain")
-
-    @classmethod
-    def from_supports(cls, universe: Universe, supports: Iterable[int]) -> "SquarefreeMonomialIdeal":
-        """Build from any support family by keeping the minimal ones."""
-        sup = set(supports)
-        _check_supports(universe, sup)  # the filter needs nonnegative masks
-        return cls(universe, frozenset(_minimal_members(list(sup))))
-
-    def contains_monomial(self, support: int) -> bool:
-        """Squarefree monomial membership: some generator divides it."""
-        return any(g & ~support == 0 for g in self.generators)
-
-    def generator_faces(self) -> frozenset[PolarFace]:
-        if not self.universe.polar:
-            raise ValueError("plain ideals have no barred rendering")
-        n = self.universe.n
-        return frozenset(PolarFace.from_mask(g, n) for g in self.generators)
 
 
 def minimal_transversals(edges: Iterable[int]) -> frozenset[int]:

@@ -52,10 +52,6 @@ class Pseudomonomial:
     def is_monomial(self) -> bool:
         return self.tau == 0
 
-    @property
-    def is_unit(self) -> bool:
-        return self.sigma == 0 and self.tau == 0
-
     def __str__(self) -> str:
         factors = [f"x{i}" for i in neurons_from_mask(self.sigma)]
         factors += [f"(1-x{j})" for j in neurons_from_mask(self.tau)]

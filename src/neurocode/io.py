@@ -28,10 +28,10 @@ class ParseWarning(UserWarning):
     pass
 
 
-_N_LINE = re.compile(r"^n\s*=\s*([0-9]+)$")
+_N_LINE = re.compile(r"^n[ \t]*=[ \t]*([0-9]+)$")
 _BINARY = re.compile(r"^[01]+$")
 _DIGITS = re.compile(r"^[0-9]+$")
-_BRACES = re.compile(r"^\{([0-9,\s]*)\}$")
+_BRACES = re.compile(r"^\{([0-9, \t]*)\}$")
 
 
 def _parse_word(token: str, n: int) -> int:
@@ -79,7 +79,7 @@ def parse_code(text: str, source: str = "<input>") -> Code:
     n = None
     parsed: list[tuple[int, str, int]] = []  # (line, literal, mask)
     for idx, raw in enumerate(lines, start=1):
-        content = raw.split("#", 1)[0].strip()
+        content = raw.split("#", 1)[0].strip(" \t")
         if not content:
             continue
         if n is None:

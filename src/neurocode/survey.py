@@ -2,8 +2,9 @@
 
 Each code gets one row recording interval and canonical-form statistics
 plus the two closure verdicts; every verdict is computed by all three
-methods and any disagreement aborts the survey. Rows stream in canonical
-id order, so output is deterministic.
+criteria, over two computations (see ``classify``), and any disagreement
+aborts the survey. Rows stream in canonical id order, so output is
+deterministic.
 """
 
 from __future__ import annotations

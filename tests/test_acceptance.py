@@ -42,6 +42,7 @@ from neurocode import (
     verify_dictionary,
 )
 from neurocode.classify import _IC_METHODS, _MIC_METHODS
+from neurocode.codes import _minimal_members
 from neurocode.cli import run_command
 
 from oracles import (
@@ -252,8 +253,8 @@ def _decomposition_covers_irredundantly(code):
 def squarefree_ideals(draw):
     size = draw(st.integers(1, 8))
     supports = draw(st.frozensets(st.integers(1, (1 << size) - 1), max_size=6))
-    return SquarefreeMonomialIdeal.from_supports(
-        Universe(size, polar=False), supports)
+    return SquarefreeMonomialIdeal(
+        Universe(size, polar=False), frozenset(_minimal_members(list(supports))))
 
 
 @_SETTINGS

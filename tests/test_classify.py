@@ -371,7 +371,8 @@ class TestVerifyDictionary:
                            for i in neurons_from_mask(iv.hi ^ iv.lo)
                            for sub in (Interval(iv.lo | 1 << (i - 1), iv.hi),
                                        Interval(iv.lo, iv.hi ^ 1 << (i - 1)))
-                           if not any(o.encloses(sub) for o in miv - {iv}))
+                           if not any(o.lo & ~sub.lo == 0 and sub.hi & ~o.hi == 0
+                                      for o in miv - {iv}))
             code.__dict__["maximal_intervals"] = miv - {iv} | {sub}
             report = verify_dictionary(code)
             maximality = next(c for c in report.checks if c.name == "maximality")

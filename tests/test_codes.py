@@ -64,10 +64,6 @@ class TestInterval:
         with pytest.raises(ValueError):
             Interval(0, 0b100).members(2)
 
-    def test_encloses(self):
-        assert Interval(0, 0b111).encloses(Interval(0b001, 0b011))
-        assert not Interval(0b001, 0b011).encloses(Interval(0, 0b111))
-
 
 @contextmanager
 def deadline(seconds: float):
@@ -231,12 +227,12 @@ class TestStructuralInvariantsExhaustive:
             # antichain
             for a in ivs:
                 for b in ivs:
-                    assert a == b or not a.encloses(b)
+                    assert a == b or not (a.lo & ~b.lo == 0 and b.hi & ~a.hi == 0)
             # union of members is exactly the code
             covered = frozenset().union(*(iv.members(3) for iv in ivs))
             assert covered == code.words
             # every degenerate interval sits inside some maximal interval
             for w in code:
-                assert any(iv.encloses(Interval(w, w)) for iv in ivs)
+                assert any(iv.lo & ~w == 0 and w & ~iv.hi == 0 for iv in ivs)
             # facets of the closure are the maximal codewords
             assert downward_closure(code).facets == code.maximal_codewords

@@ -27,6 +27,7 @@ from neurocode import (
     prime_sets,
     sr_minimal_primes,
 )
+from neurocode.codes import _maximal_members, _minimal_members
 
 from oracles import (
     all_codes,
@@ -111,9 +112,10 @@ class TestComplexOfIdeal:
             size = rng.randint(1, 10)
             count = rng.randint(0, 6)
             supports = {rng.randint(1, (1 << size) - 1) for _ in range(count)}
-            ideal = SquarefreeMonomialIdeal.from_supports(
+            ideal = SquarefreeMonomialIdeal(
                 Universe(size, polar=False) if size % 2 or size > 8
-                else Universe(size // 2, polar=True), supports)
+                else Universe(size // 2, polar=True),
+                frozenset(_minimal_members(list(supports))))
             assert complex_of_ideal(ideal).facets == oracle_complex_facets(
                 ideal.generators, size)
 
@@ -125,7 +127,8 @@ class TestIdealComplexRoundTrip:
             size = rng.randint(1, 8)
             universe = Universe(size, polar=False)
             supports = {rng.randint(1, (1 << size) - 1) for _ in range(rng.randint(0, 6))}
-            ideal = SquarefreeMonomialIdeal.from_supports(universe, supports)
+            ideal = SquarefreeMonomialIdeal(
+                universe, frozenset(_minimal_members(list(supports))))
             assert ideal_of_complex(complex_of_ideal(ideal)) == ideal
             cx = complex_of_ideal(ideal)
             assert complex_of_ideal(ideal_of_complex(cx)) == cx
@@ -318,18 +321,9 @@ class TestTypeValidation:
         with pytest.raises(ValueError):
             SimplicialComplex(Universe(2, polar=False), frozenset({0b01, 0b11}))
 
-    def test_complex_from_faces_prunes(self):
-        cx = SimplicialComplex.from_faces(Universe(2, polar=False), {0b01, 0b11})
-        assert cx.facets == {0b11}
-
     def test_ideal_rejects_empty_support(self):
         with pytest.raises(ValueError):
             SquarefreeMonomialIdeal(Universe(2, polar=False), frozenset({0}))
-
-    def test_ideal_from_supports_reduces(self):
-        ideal = SquarefreeMonomialIdeal.from_supports(
-            Universe(2, polar=False), {0b01, 0b11})
-        assert ideal.generators == {0b01}
 
     def test_polar_rendering_requires_polar_universe(self):
         cx = SimplicialComplex(Universe(2, polar=False), frozenset({0b11}))
@@ -354,8 +348,8 @@ def _pairwise_antichain(masks) -> bool:
 
 
 class TestAntichainChecks:
-    """The bit-parallel antichain checks and filters against the pairwise
-    definition, through all three constructors."""
+    """The bit-parallel antichain checks, through all three constructors,
+    and the maximal / minimal filters against the pairwise definition."""
 
     UNIVERSE = Universe(4, polar=True)  # 8 vertices
 
@@ -371,7 +365,7 @@ class TestAntichainChecks:
         for fam in _families(9200, 8):
             expected = {f for f in fam
                         if not any(f != g and f & ~g == 0 for g in fam)}
-            assert SimplicialComplex.from_faces(self.UNIVERSE, fam).facets == expected
+            assert set(_maximal_members(list(fam))) == expected
 
     def test_ideal_validation(self):
         for fam in _families(9300, 8):
@@ -387,16 +381,15 @@ class TestAntichainChecks:
             fam = fam - {0}
             expected = {g for g in fam
                         if not any(g != h and h & ~g == 0 for h in fam)}
-            ideal = SquarefreeMonomialIdeal.from_supports(self.UNIVERSE, fam)
-            assert ideal.generators == expected
+            assert set(_minimal_members(list(fam))) == expected
 
     def test_filters_reject_out_of_range_input(self):
         with pytest.raises(ValueError, match="outside the universe"):
-            SimplicialComplex.from_faces(self.UNIVERSE, {-1, 0b11})
+            SimplicialComplex(self.UNIVERSE, frozenset({-1, 0b11}))
         with pytest.raises(ValueError, match="invalid for the universe"):
-            SquarefreeMonomialIdeal.from_supports(self.UNIVERSE, {-2, 0b1})
+            SquarefreeMonomialIdeal(self.UNIVERSE, frozenset({-2, 0b1}))
         with pytest.raises(ValueError, match="invalid for the universe"):
-            SquarefreeMonomialIdeal.from_supports(self.UNIVERSE, {0b1, 1 << 8 | 0b1})
+            SquarefreeMonomialIdeal(self.UNIVERSE, frozenset({0b1, 1 << 8 | 0b1}))
 
     def test_canonical_form_validation(self):
         rng = random.Random(9500)

@@ -49,7 +49,6 @@ class TestPseudomonomial:
     def test_flags(self):
         assert Pseudomonomial(0b110, 0).is_monomial
         assert not Pseudomonomial(0b010, 0b100).is_monomial
-        assert Pseudomonomial(0, 0).is_unit
 
 
 class TestIndicator:
@@ -254,7 +253,7 @@ class TestIntervalToPm:
         assert interval_to_pm(Interval(0b110, 0b111), 3) == Pseudomonomial(0b110, 0)
 
     def test_full_interval_gives_unit(self):
-        assert interval_to_pm(Interval(0, 0b1111), 4).is_unit
+        assert interval_to_pm(Interval(0, 0b1111), 4) == Pseudomonomial(0, 0)
 
     def test_alpha_bijection_exhaustive_n3(self):
         for code in all_codes(3):

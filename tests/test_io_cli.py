@@ -65,6 +65,21 @@ class TestParse:
             parse_code(f"n={digit}\n12\n")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("text, line", [
+        ("n\u3000= 3\n1\n", 1),
+        ("n=3\n1\n{1,\u00a02}\n", 3),
+        ("n=3\n1\n\u00a0101\n", 3),
+    ], ids=["ideographic-space-in-n-line", "no-break-space-in-braces",
+            "no-break-space-before-binary-word"])
+    def test_non_ascii_whitespace_rejected(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_code(text)
+        assert err.value.line == line
+
+    def test_ascii_spaces_and_tabs_parse(self):
+        code = parse_code("n = 3\n\t{1, 2} \n 101\t\n")
+        assert code.words == {0b011, 0b101}
+
     def test_word_out_of_range(self):
         with pytest.raises(ParseError) as err:
             parse_code("n=2\n3\n", source="doc")
