@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import warnings
+from functools import cache
 from itertools import islice
 
 from .classify import (
@@ -47,6 +48,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache  # one parser per process; parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="neurocode",
                      description="neural codes, their ideals and complexes")
@@ -147,14 +149,16 @@ def _base_doc(command: str, code: Code) -> dict:
 def _emit_list(args, command: str, code: Code, key: str, items,
                to_json, to_text) -> int:
     """One sorted list: a JSON document holding it under ``key``, or one
-    text line per item."""
+    text line per item, written 4,096 lines at a time."""
     if args.json:
         doc = _base_doc(command, code)
         doc[key] = _Rendered(items, to_json)
         _emit_json(doc)
     else:
-        for item in items:
-            print(to_text(item))
+        write = sys.stdout.write
+        lines = map(to_text, items)
+        while batch := list(islice(lines, 4096)):
+            write("\n".join(batch) + "\n")
     return 0
 
 
@@ -285,13 +289,18 @@ _SUMMARY_KEYS = ("codes", "intersection_complete", "max_intersection_complete",
                  "max_cf_nonmonomials_by_max_codewords")
 
 
+def _row_json(row) -> dict:
+    return dict(zip(_SURVEY_COLUMNS, vars(row).values()))
+
+
 def _cmd_survey(args) -> int:
     rows_iter = survey(args.n)
     if args.json:
         rows = list(rows_iter)
+        summary = summarize(rows)
         doc = {"schema": SCHEMA_VERSION, "command": "survey", "n": args.n,
-               "rows": [dict(zip(_SURVEY_COLUMNS, vars(r).values())) for r in rows],
-               "summary": dict(zip(_SUMMARY_KEYS, vars(summarize(rows)).values()))}
+               "rows": _Rendered(rows, _row_json),
+               "summary": dict(zip(_SUMMARY_KEYS, vars(summary).values()))}
         _emit_json(doc)
         return 0
     out = sys.stdout

@@ -37,8 +37,20 @@ def mask_from_neurons(neurons: Iterable[int], n: int) -> int:
     return mask
 
 
+# The neurons of every byte value as the low and as the high byte of a
+# mask (neurons 1-8 and 9-16): two lookups unpack any mask on MAX_NEURONS.
+_LOW_BYTE, _HIGH_BYTE = (
+    tuple(tuple(8 * high + k + 1 for k in range(8) if b >> k & 1) for b in range(256))
+    for high in (0, 1))
+# The same table as decimal texts, which the renderers join.
+_LOW_NAMES, _HIGH_NAMES = (
+    tuple(tuple(map(str, neurons)) for neurons in table) for table in (_LOW_BYTE, _HIGH_BYTE))
+
+
 def neurons_from_mask(mask: int) -> tuple[int, ...]:
     """Unpack a mask into ascending 1-based neuron indices."""
+    if 0 <= mask < 0x10000:
+        return _LOW_BYTE[mask & 255] + _HIGH_BYTE[mask >> 8]
     if mask < 0:
         raise ValueError(f"a mask is nonnegative, got {mask}")
     out = []
@@ -49,6 +61,13 @@ def neurons_from_mask(mask: int) -> tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(out)
+
+
+def _neuron_names(mask: int) -> tuple[str, ...]:
+    """``neurons_from_mask`` as decimal texts."""
+    if 0 <= mask < 0x10000:
+        return _LOW_NAMES[mask & 255] + _HIGH_NAMES[mask >> 8]
+    return tuple(map(str, neurons_from_mask(mask)))
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -247,11 +266,12 @@ class Code:
 
     @cached_property
     def word_bits(self) -> int:
-        """The word set as one bitset over the 2**n subsets."""
-        bits = 0
+        """The word set as one bitset over the 2**n subsets, read as one
+        binary literal (its last digit is bit 0)."""
+        digits = bytearray(b"0") * (1 << self.n)
         for w in self.words:
-            bits |= 1 << w
-        return bits
+            digits[w] = 49  # ord("1")
+        return int(digits[::-1], 2)
 
     @cached_property
     def complement(self) -> "Code":

@@ -14,10 +14,10 @@ from typing import Iterable
 from .codes import (
     _is_antichain,
     _memo,
+    _neuron_names,
     Code,
     Interval,
     full_mask,
-    neurons_from_mask,
 )
 from .ideals import (
     Pseudomonomial,
@@ -46,15 +46,13 @@ class PolarFace:
         return cls(mask & full_mask(n), mask >> n)
 
     def __str__(self) -> str:
-        xs = neurons_from_mask(self.xpart)
-        ys = neurons_from_mask(self.ypart)
+        xs = _neuron_names(self.xpart)
+        ys = _neuron_names(self.ypart)
         if not xs and not ys:
             return "{}"
-        if max(xs, default=0) <= 9 and max(ys, default=0) <= 9:
-            return "".join(map(str, xs)) + "".join(f"~{j}" for j in ys)
-        left = "{" + ",".join(map(str, xs)) + "}"
-        right = "~{" + ",".join(map(str, ys)) + "}"
-        return left + right
+        if (self.xpart | self.ypart) >> 9 == 0:  # neurons 1-9 only
+            return "".join(xs) + "".join(f"~{j}" for j in ys)
+        return "{" + ",".join(xs) + "}~{" + ",".join(ys) + "}"
 
 
 @dataclass(frozen=True)

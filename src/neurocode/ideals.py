@@ -15,10 +15,10 @@ from .codes import (
     _is_antichain,
     _member_bits,
     _memo,
+    _neuron_names,
     Code,
     Interval,
     full_mask,
-    neurons_from_mask,
 )
 
 CF_MAX_N = 12
@@ -53,8 +53,8 @@ class Pseudomonomial:
         return self.tau == 0
 
     def __str__(self) -> str:
-        factors = [f"x{i}" for i in neurons_from_mask(self.sigma)]
-        factors += [f"(1-x{j})" for j in neurons_from_mask(self.tau)]
+        factors = [f"x{i}" for i in _neuron_names(self.sigma)]
+        factors += [f"(1-x{j})" for j in _neuron_names(self.tau)]
         return "*".join(factors) if factors else "1"
 
 
@@ -83,8 +83,8 @@ class PrimePseudomonomialIdeal:
         return bool(pm.sigma & self.pos or pm.tau & self.neg)
 
     def __str__(self) -> str:
-        gens = [f"x{i}" for i in neurons_from_mask(self.pos)]
-        gens += [f"1-x{j}" for j in neurons_from_mask(self.neg)]
+        gens = [f"x{i}" for i in _neuron_names(self.pos)]
+        gens += [f"1-x{j}" for j in _neuron_names(self.neg)]
         return "<" + ",".join(gens) + ">"
 
 

@@ -1,10 +1,11 @@
 """Code document parsing and deterministic text rendering.
 
 A code document is UTF-8 text: the first content line declares ``n=<k>``,
-every further line holds one word. Binary strings (``010``, exactly n
-characters) and subset literals (bare digits like ``23`` for n <= 9, comma
-lists like ``{2,11}`` for any n) may be mixed line by line. Blank lines
-and ``#`` comments are ignored.
+every further line holds one word. Lines end at a newline and nowhere
+else; one carriage return before it is dropped. Binary strings (``010``,
+exactly n characters) and subset literals (bare digits like ``23`` for
+n <= 9, comma lists like ``{2,11}`` for any n) may be mixed line by line.
+Blank lines and ``#`` comments are ignored.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import re
 import warnings
 
-from .codes import MAX_NEURONS, Code, Interval, mask_from_neurons, neurons_from_mask
+from .codes import MAX_NEURONS, Code, Interval, _neuron_names, mask_from_neurons
 
 
 class ParseError(ValueError):
@@ -35,7 +36,7 @@ _BRACES = re.compile(r"^\{([0-9, \t]*)\}$")
 
 
 def _parse_word(token: str, n: int) -> int:
-    if _BINARY.match(token) and len(token) == n:
+    if len(token) == n and _BINARY.match(token):
         return int(token[::-1], 2)  # character k is neuron k + 1, bit k
     m = _BRACES.match(token)
     if m:
@@ -71,14 +72,22 @@ def _parse_word(token: str, n: int) -> int:
 def parse_code(text: str, source: str = "<input>") -> Code:
     """Parse a document into a code.
 
-    Every word is parsed once, so a syntax error anywhere wins over
-    code-level checks. Duplicate words are then dropped with a warning;
-    empty and full codes are rejected with the offending line.
+    One pass: duplicates and the line at which the code becomes full are
+    noted as the words are read, and reported only once every word has
+    parsed, so a syntax error anywhere wins over code-level checks.
+    Duplicate words are then dropped with a warning; empty and full codes
+    are rejected with the offending line.
     """
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # a final newline ends the last line
     n = None
-    parsed: list[tuple[int, str, int]] = []  # (line, literal, mask)
+    seen: set[int] = set()
+    duplicates: list[tuple[int, str]] = []  # (line, literal) before the code is full
+    full_line = None
     for idx, raw in enumerate(lines, start=1):
+        if raw.endswith("\r"):
+            raw = raw[:-1]
         content = raw.split("#", 1)[0].strip(" \t")
         if not content:
             continue
@@ -92,21 +101,22 @@ def parse_code(text: str, source: str = "<input>") -> Code:
                     source, idx, f"neuron count must be in 1..{MAX_NEURONS}, got {n}")
             continue
         try:
-            parsed.append((idx, content, _parse_word(content, n)))
+            mask = _parse_word(content, n)
         except ValueError as err:
             raise ParseError(source, idx, str(err)) from None
+        if mask not in seen:
+            seen.add(mask)
+            if len(seen) == 1 << n:
+                full_line = idx
+        elif full_line is None:
+            duplicates.append((idx, content))
     if n is None:
         raise ParseError(source, max(len(lines), 1), "empty document; expected n=<k>")
-    seen: set[int] = set()
-    for line, literal, mask in parsed:
-        if mask in seen:
-            warnings.warn(ParseWarning(
-                f"{source}:{line}: duplicate word {literal!r} ignored"))
-            continue
-        seen.add(mask)
-        if len(seen) == 1 << n:
-            raise ParseError(
-                source, line, "code contains every subset of [n]; proper codes required")
+    for line, literal in duplicates:
+        warnings.warn(ParseWarning(f"{source}:{line}: duplicate word {literal!r} ignored"))
+    if full_line is not None:
+        raise ParseError(
+            source, full_line, "code contains every subset of [n]; proper codes required")
     if not seen:
         raise ParseError(source, max(len(lines), 1),
                          "no codewords given; nonempty codes required")
@@ -123,10 +133,9 @@ def render_code_document(code: Code) -> str:
 
 def word_text(mask: int, n: int) -> str:
     """Digit rendering for small n ('0' for the empty word), braces above."""
-    ns = neurons_from_mask(mask)
     if n <= 9:
-        return "".join(map(str, ns)) if ns else "0"
-    return "{" + ",".join(map(str, ns)) + "}"
+        return "".join(_neuron_names(mask)) or "0"
+    return "{" + ",".join(_neuron_names(mask)) + "}"
 
 
 def interval_text(iv: Interval, n: int) -> str:
@@ -135,4 +144,4 @@ def interval_text(iv: Interval, n: int) -> str:
 
 def monomial_prime_text(mask: int) -> str:
     """Render a variable-set mask as a monomial prime, e.g. ``<x2,x3>``."""
-    return "<" + ",".join(f"x{i}" for i in neurons_from_mask(mask)) + ">"
+    return "<" + ",".join(f"x{i}" for i in _neuron_names(mask)) + ">"

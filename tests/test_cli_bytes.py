@@ -3,7 +3,10 @@
 There is one digest per (command, format, n), each over the fixed-seed
 random codes of that n (densities 0.1, 0.5 and 0.9), so a failure names
 which output moved. n runs to 11, so braced words (n >= 10) and facets
-with a vertex index above 9 are covered. ``timing_us`` is zeroed before
+with a vertex index above 9 are covered; ``intervals`` and the brute
+``check`` commands also run on sparse codes at n = 12, 14 and 16
+(densities 0.01 and 0.1), so neurons 9 to 16, the second byte of a mask,
+are pinned too. ``timing_us`` is zeroed before
 hashing; it is the only field that varies from run to run.
 
 The digests in ``cli_bytes.json`` are meant to be recorded once and then
@@ -42,6 +45,7 @@ COMMANDS = {
        for m in ("brute", "algebraic", "facets")},
 }
 SMALL_ONLY = {"complexes", "verify"}  # n <= 6: dualizations dominate above
+LARGE = ("intervals", "check ic brute", "check mic brute")  # also at n = 12, 14, 16
 
 
 def _cases() -> dict[str, list[tuple[list[str], str]]]:
@@ -54,6 +58,12 @@ def _cases() -> dict[str, list[tuple[list[str], str]]]:
                 continue
             cases[f"{name} text n={n}"] = [(argv, d) for d in docs]
             cases[f"{name} json n={n}"] = [(argv + ["--json"], d) for d in docs]
+    for n in (12, 14, 16):
+        docs = [render_code_document(c) for c in
+                random_codes(n, 2, seed=9000 + n, densities=(0.01, 0.1))]
+        for name in LARGE:
+            cases[f"{name} text n={n}"] = [(COMMANDS[name], d) for d in docs]
+            cases[f"{name} json n={n}"] = [(COMMANDS[name] + ["--json"], d) for d in docs]
     example = "n=3\n000\n010\n001\n110\n101\n"
     cases["check ic --method algebraic (does not apply)"] = [
         (["check", "ic", "--method", "algebraic"], example)]

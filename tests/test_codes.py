@@ -6,7 +6,8 @@ import pytest
 
 from neurocode import (Code, Interval, InvalidCodeError, downward_closure,
                        minimal_transversals, neurons_from_mask, submasks)
-from neurocode.codes import _down_closure, _intersection_closure, _set_bits
+from neurocode.codes import (_down_closure, _intersection_closure, _neuron_names,
+                             _set_bits)
 
 from oracles import (
     EXAMPLE_COMPLEMENT_WORDS,
@@ -77,6 +78,21 @@ def deadline(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+class TestNeuronsFromMask:
+    @staticmethod
+    def bit_by_bit(mask):
+        return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+    @pytest.mark.parametrize("mask", [0, 255, 256, 2**16 - 1, 2**16, 2**20 + 5])
+    def test_matches_bit_by_bit(self, mask):
+        assert neurons_from_mask(mask) == self.bit_by_bit(mask)
+        assert _neuron_names(mask) == tuple(map(str, self.bit_by_bit(mask)))
+
+    def test_every_two_byte_mask(self):
+        for mask in range(1 << 16):
+            assert neurons_from_mask(mask) == self.bit_by_bit(mask)
 
 
 class TestNegativeMasks:

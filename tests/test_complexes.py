@@ -60,6 +60,12 @@ class TestPolarize:
         assert str(pf(0b001, 0b110)) == "1~2~3"
         assert str(pf(0, 0)) == "{}"
 
+    def test_rendering_across_neurons_9_and_10(self):
+        assert str(pf(1 << 8, 1 << 8)) == "9~9"
+        assert str(pf(1 << 9, 0)) == "{10}~{}"
+        assert str(pf(0b1, 1 << 9)) == "{1}~{10}"
+        assert str(pf(1 << 8 | 1 << 15, 0b11)) == "{9,16}~{1,2}"
+
 
 class TestPolarIdeal:
     def test_complement_example(self):

@@ -45,6 +45,7 @@ class TestPseudomonomial:
         assert str(Pseudomonomial(0b001, 0b110)) == "x1*(1-x2)*(1-x3)"
         assert str(Pseudomonomial(0b110, 0)) == "x2*x3"
         assert str(Pseudomonomial(0, 0)) == "1"
+        assert str(Pseudomonomial(1 << 15, 1 << 8)) == "x16*(1-x9)"
 
     def test_flags(self):
         assert Pseudomonomial(0b110, 0).is_monomial
@@ -210,6 +211,7 @@ class TestPrimaryDecomposition:
 
     def test_rendering(self):
         assert str(PrimePseudomonomialIdeal(0b110, 0b001)) == "<x2,x3,1-x1>"
+        assert str(PrimePseudomonomialIdeal(1 << 15, 1 << 8 | 1)) == "<x16,1-x1,1-x9>"
 
     def test_prime_membership(self):
         prime = PrimePseudomonomialIdeal(0b110, 0b001)

@@ -76,6 +76,28 @@ class TestParse:
             parse_code(text)
         assert err.value.line == line
 
+    @pytest.mark.parametrize("text, line", [
+        ("n=3\u20281\u008512\n", 1),
+        ("n=3\n1\u20282\n", 2),
+        ("n=3\n12\u00853\n", 2),
+        ("n=3\n\x1c1\n", 2),
+        ("n=3\r\n1\r2\r\n", 2),
+    ], ids=["U+2028-and-U+0085-in-n-line", "U+2028-in-word", "U+0085-in-word",
+            "0x1C-before-word", "lone-CR-in-word"])
+    def test_lines_end_only_at_newline(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_code(text)
+        assert err.value.line == line
+
+    def test_crlf_parses_like_lf(self):
+        lf = "# a code\nn=3\n010  # {2}\n\n001\n{2}\n"
+        crlf = lf.replace("\n", "\r\n")
+        with pytest.warns(ParseWarning, match=r"^<input>:6: duplicate word '\{2\}'"):
+            assert parse_code(crlf) == parse_code(lf) == Code(3, {0b010, 0b100})
+        with pytest.raises(ParseError) as err:
+            parse_code("n=1\r\n1\r\n0")
+        assert err.value.line == 3
+
     def test_ascii_spaces_and_tabs_parse(self):
         code = parse_code("n = 3\n\t{1, 2} \n 101\t\n")
         assert code.words == {0b011, 0b101}
