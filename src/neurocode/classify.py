@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .codes import (Code, Interval, _clear_masks, _intersection_closure,
-                    _member_bits, _minimal_members, _set_bits, full_mask, submasks)
+                    _member_bits, _set_bits, full_mask)
 from .complexes import (
     PolarFace,
     complex_of_ideal,
@@ -267,33 +268,80 @@ class DictionaryReport:
         return all(c.passed for c in self.checks)
 
 
+def _pairs_free_in(i: int, n: int) -> int:
+    """Bitset over the indices sigma | tau << n: those free in neuron i + 1,
+    with neither bit i nor bit i + n."""
+    bits = (1 << (1 << i)) - 1
+    for k in range(i + 1, 2 * n):
+        if k != i + n:
+            bits |= bits << (1 << k)
+    return bits
+
+
 def _canonical_form_by_enumeration(code: Code) -> frozenset[Pseudomonomial]:
     """Reference route for the alpha check, independent of the interval kernel.
 
-    Visits all 3**n disjoint (sigma, tau) pairs by increasing
-    |sigma| + |tau|, so minimal elements appear before anything they
-    divide and minimality reduces to a forward filter against the kept
-    list. A pair is in the ideal iff [sigma, [n] - tau] holds no codeword.
+    A zeta transform over one bitset of 2**(2n) bits, indexed by
+    sigma | tau << n. A pair is in the ideal iff [sigma, [n] - tau] holds no
+    codeword. The full pairs (w, [n] - w) of the non-words are marked
+    first; then, neuron by neuron, a pair free in i is marked iff both
+    pairs that fix i are (one shift-AND each), which marks every pair of
+    the ideal. A member is minimal iff no one-factor divisor is a member:
+    one shift per factor.
     """
     n = code.n
     full = full_mask(n)
-    wb = code.word_bits
-    kept: list[tuple[int, int]] = []
-    for support in sorted(range(1 << n), key=int.bit_count):
-        for sigma in submasks(support):
-            tau = support ^ sigma
-            if _member_bits(sigma, full ^ tau) & wb == 0 and not any(
-                    ps & ~sigma == 0 and pt & ~tau == 0 for ps, pt in kept):
-                kept.append((sigma, tau))
-    return frozenset(Pseudomonomial(s, t) for s, t in kept)
+    nbytes = max(8, 1 << 2 * n >> 3)  # whole 64-bit words
+    marks = bytearray(nbytes)
+    for w in range(1 << n):
+        if w not in code.words:
+            p = w | (full ^ w) << n
+            marks[p >> 3] |= 1 << (p & 7)
+    members = int.from_bytes(marks, "little")
+    del marks
+    for i in range(n):
+        members |= members >> (1 << i) & members >> (1 << i + n) & _pairs_free_in(i, n)
+    divisible = 0
+    for i in range(n):
+        free = members & _pairs_free_in(i, n)
+        divisible |= free << (1 << i) | free << (1 << i + n)
+    data = (members & ~divisible).to_bytes(nbytes, "little")
+    out = []
+    for k in compress(range(nbytes >> 3), memoryview(data).cast("Q")):
+        word = int.from_bytes(data[k << 3:k + 1 << 3], "little")
+        while word:
+            low = word & -word
+            word ^= low
+            p = k << 6 | low.bit_length() - 1
+            out.append(Pseudomonomial(p & full, p >> n))
+    return frozenset(out)
 
 
 def _prime_sets_by_enumeration(code: Code) -> frozenset[PolarFace]:
     """Reference route for the delta check, independent of the maximal
-    codewords: ``prime_sets``' definition, tested on all 2**n barred sets."""
+    codewords: ``prime_sets``' definition, tested on all 2**n barred sets.
+
+    [n] + B-bar is a face iff B lies in the barred part of a facet holding
+    [n]. Bit-parallel over those facets: holders[v] is the bitset of the
+    facets whose barred part holds v, so the facets above B are the
+    intersection of holders[v] over v in B, built from B less its lowest
+    vertex. B is a minimal non-face iff that is empty and nonempty for
+    every B less one vertex.
+    """
     n, fc = code.n, factor_complex(code)
-    found = [b for b in range(1 << n) if not fc.is_face(full_mask(n) | b << n)]
-    return frozenset(PolarFace(0, b) for b in _minimal_members(found))
+    full = full_mask(n)
+    barred = [f >> n for f in fc.facets if f & full == full]
+    holders = [0] * n
+    for j, y in enumerate(barred):
+        for v in range(n):
+            if y >> v & 1:
+                holders[v] |= 1 << j
+    above = [(1 << len(barred)) - 1]
+    for b in range(1, 1 << n):
+        above.append(above[b & b - 1] & holders[(b & -b).bit_length() - 1])
+    return frozenset(
+        PolarFace(0, b) for b in range(1 << n) if not above[b]
+        and all(above[b ^ 1 << v] for v in range(n) if b >> v & 1))
 
 
 def verify_dictionary(code: Code) -> DictionaryReport:
@@ -303,8 +351,10 @@ def verify_dictionary(code: Code) -> DictionaryReport:
     disagree with it.
 
     alpha: the canonical form of the complement's neural ideal (read off
-        the code's maximal intervals) against an independent 3**n
-        enumeration of the minimal pseudomonomials of that ideal.
+        the code's maximal intervals) against the minimal pseudomonomials
+        of that ideal found by a zeta transform over all (sigma, tau)
+        pairs, which reads only the words: a few shifts per neuron of
+        2**(2n)-bit integers (128 KiB at n = 10, about 10 ms).
     beta: the factor-complex facets (read off the same intervals) against
         the facets of the complex of the factor ideal, which is built from
         the primary decomposition by a hypergraph dualization. Both read
@@ -316,8 +366,9 @@ def verify_dictionary(code: Code) -> DictionaryReport:
     gamma_delta: the minimal primes of the code complex's ideal (the
         complements of the maximal codewords) against the minimal
         transversals of the canonical form's monomial supports, and the
-        complement's minimal prime-sets against an independent 2**n scan
-        of their definition.
+        complement's minimal prime-sets against their definition, tested
+        on all 2**n barred sets bit-parallel over the factor-complex
+        facets that hold [n] (about 2 ms at n = 10).
 
     A failed check indicates a library bug, not a property of the code.
     """

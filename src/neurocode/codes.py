@@ -217,6 +217,12 @@ class Interval:
         return frozenset(self.lo | s for s in submasks(self.hi ^ self.lo))
 
 
+def _check_neuron_count(n: int) -> None:
+    """Refuse a neuron count that is not an int in 1..MAX_NEURONS (a bool is not one)."""
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_NEURONS:
+        raise InvalidCodeError(f"neuron count must be in 1..{MAX_NEURONS}, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Code:
     """A neural code: neuron count ``n`` plus a set of codeword masks.
@@ -230,9 +236,7 @@ class Code:
     words: frozenset[int]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_NEURONS:
-            raise InvalidCodeError(
-                f"neuron count must be in 1..{MAX_NEURONS}, got {self.n!r}")
+        _check_neuron_count(self.n)
         words = frozenset(self.words)
         object.__setattr__(self, "words", words)
         if not words:

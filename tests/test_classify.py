@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -21,16 +22,20 @@ from neurocode import (
     render_code_document,
     verify_dictionary,
 )
-from neurocode.classify import FacetWitness, IntersectionWitness, PseudomonomialWitness
+from neurocode.classify import (FacetWitness, IntersectionWitness, PseudomonomialWitness,
+                                _canonical_form_by_enumeration, _prime_sets_by_enumeration)
+from neurocode.codes import _clear_masks
 from neurocode.cli import run_command
 
 from oracles import (
     all_codes,
+    all_prime_sets,
     check_method_agreement,
     example_code,
     example_complement,
     mic_facets_single_set,
     near_closed_codes,
+    oracle_canonical_form,
     oracle_ic,
     oracle_ic_pairwise,
     oracle_mic,
@@ -338,7 +343,7 @@ class TestVerifyDictionary:
                 assert verify_dictionary(code).passed
 
     def test_alpha_fails_when_the_kernel_drops_an_interval(self):
-        # the alpha check compares against a 3**n enumeration, so a kernel
+        # the alpha check compares against a transform of the words, so a kernel
         # that loses an interval fails it even though the canonical form is
         # built from the same (wrong) intervals
         code = example_code()
@@ -351,7 +356,7 @@ class TestVerifyDictionary:
 
     def test_gamma_delta_fails_when_a_maximal_codeword_is_dropped(self):
         # prime_sets is derived from the same maximal codewords, so it is
-        # the 2**n scan and the transversal route that catch the loss
+        # the face test of every barred set and the transversal route that catch the loss
         code = example_code()
         dropped = min(code.maximal_codewords)
         code.__dict__["maximal_codewords"] = code.maximal_codewords - {dropped}
@@ -384,3 +389,46 @@ class TestVerifyDictionary:
         with pytest.raises(CapExceededError, match="cap of 12"):
             verify_dictionary(code)
         assert "maximal_intervals" not in code.__dict__
+
+
+class TestReferenceRoutes:
+    """verify's alpha and delta references against the plain definitions."""
+
+    @staticmethod
+    def alpha_cases():
+        for n in range(1, 4):
+            yield from all_codes(n)
+        for n in range(4, 8):
+            yield from random_codes(n, 3, seed=4700 + n)
+
+    def test_alpha_matches_the_evaluation_oracle(self):
+        for code in self.alpha_cases():
+            assert _canonical_form_by_enumeration(code) == oracle_canonical_form(code)
+
+    def test_delta_matches_a_face_scan(self):
+        codes = [*all_codes(3), *random_codes(5, 6, seed=4800), *random_codes(7, 3, seed=4807)]
+        for code in codes:
+            barred = all_prime_sets(code)  # is_face on [n] + B-bar, every B
+            minimal = {b for b in barred if not any(a != b and a & ~b == 0 for a in barred)}
+            assert _prime_sets_by_enumeration(code) == {PolarFace(0, b) for b in minimal}
+
+    def test_alpha_working_set_at_n10(self):
+        # a few 2**20-bit ints; no cube-of-pairs bytearray or digit string
+        for code in random_codes(10, 3, seed=4810):
+            comp = code.complement
+            tracemalloc.start()
+            try:
+                _canonical_form_by_enumeration(comp)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * 2**20
+
+    def test_verify_caches_no_masks_above_n(self):
+        # _clear_masks(20) would pin 2.5 MiB for the life of the process
+        _clear_masks.cache_clear()
+        assert verify_dictionary(Code(10, {0, 1, 3})).passed
+        assert _clear_masks.cache_info().currsize == 1
+        hits = _clear_masks.cache_info().hits
+        _clear_masks(10)
+        assert _clear_masks.cache_info().hits == hits + 1

@@ -126,6 +126,11 @@ class TestCodeConstruction:
         with pytest.raises(InvalidCodeError):
             Code(17, {0})
 
+    def test_rejects_bool_neuron_count(self):
+        # True is an int, but it renders as n=True, which no document parses
+        with pytest.raises(InvalidCodeError, match="got True"):
+            Code(True, {0})
+
     def test_from_neuron_sets(self):
         code = Code.from_neuron_sets(3, [(), (2,), (3,), (1, 2), (1, 3)])
         assert code == example_code()

@@ -10,10 +10,12 @@ import pytest
 
 from neurocode import (
     Code,
+    InvalidCodeError,
     MethodDisagreement,
     ParseError,
     ParseWarning,
     classify,
+    code_from_id,
     parse_code,
     render_code_document,
     survey,
@@ -500,6 +502,26 @@ class TestSurveyCli:
         assert doc["schema"] == 1
         assert doc["summary"]["codes"] == 14
         assert len(doc["rows"]) == 14
+
+
+class TestSurveyArguments:
+    def test_survey_refuses_bool_n(self):
+        with pytest.raises(ValueError, match="positive integer, got True"):
+            survey(True)
+
+    def test_code_from_id_refuses_bool_n(self):
+        with pytest.raises(InvalidCodeError, match="got True"):
+            code_from_id(True, 1)
+
+    def test_code_from_id_refuses_n_before_the_words(self):
+        # range(1 << 40) would be walked before the code refused n
+        with pytest.raises(InvalidCodeError, match="got 40"):
+            code_from_id(40, 1)
+
+    @pytest.mark.parametrize("code_id", [-1, 0, 15, 17, 1 << 70])
+    def test_code_from_id_refuses_ids_out_of_range(self, code_id):
+        with pytest.raises(ValueError, match=r"must be in 1\.\.2\*\*4 - 2"):
+            code_from_id(2, code_id)
 
 
 class TestMethodDisagreement:
