@@ -18,15 +18,8 @@ from itertools import compress
 
 from .codes import (Code, Interval, _clear_masks, _intersection_closure,
                     _member_bits, _set_bits, full_mask)
-from .complexes import (
-    PolarFace,
-    complex_of_ideal,
-    factor_complex,
-    factor_ideal,
-    minimal_transversals,
-    prime_sets,
-    sr_minimal_primes,
-)
+from .complexes import (PolarFace, factor_complex, minimal_transversals, prime_sets,
+                        sr_minimal_primes)
 from .ideals import Pseudomonomial, canonical_form
 
 
@@ -355,10 +348,13 @@ def verify_dictionary(code: Code) -> DictionaryReport:
         of that ideal found by a zeta transform over all (sigma, tau)
         pairs, which reads only the words: a few shifts per neuron of
         2**(2n)-bit integers (128 KiB at n = 10, about 10 ms).
-    beta: the factor-complex facets (read off the same intervals) against
-        the facets of the complex of the factor ideal, which is built from
-        the primary decomposition by a hypergraph dualization. Both read
-        the same intervals, so this catches dualization bugs only.
+    beta: the factor-complex facets (read off the code's maximal
+        intervals) against the image of alpha's reference under the facet
+        formula: the minimal pseudomonomial x_sigma (1 - x)_tau of the
+        complement's ideal is the interval [sigma, [n] - tau] of the code,
+        whose facet is ([n] - tau) + bar([n] - sigma). alpha and beta are
+        two arrows of the dictionary checked against one reference; beta
+        adds the facet formula, not a second computation.
     maximality: every reported interval lies in the code and no interval
         one neuron wider does; any strictly larger interval contains a
         one-neuron widening, so this tests maximality without the interval
@@ -383,11 +379,12 @@ def verify_dictionary(code: Code) -> DictionaryReport:
         "alpha", ok,
         None if ok else f"difference from enumeration {sorted(map(str, cf_comp ^ reference))}"))
 
-    indep = complex_of_ideal(factor_ideal(code)).facets
-    ok = fc.facets == indep
+    full = full_mask(code.n)
+    facets = {(full ^ pm.tau) | (full ^ pm.sigma) << code.n for pm in reference}
+    ok = fc.facets == facets
     checks.append(DictionaryCheck(
         "beta", ok,
-        None if ok else f"facets {sorted(fc.facets)} vs ideal route {sorted(indep)}"))
+        None if ok else f"facets {sorted(fc.facets)} vs {sorted(facets)} from enumeration"))
 
     def one_wider(iv: Interval):  # free one more neuron: drop it from lo or add it to hi
         for i in range(code.n):

@@ -180,7 +180,8 @@ def _cmd_decompose(args, code: Code) -> int:
 
 
 def _cmd_complexes(args, code: Code) -> int:
-    factor = sorted(factor_complex(code).facets)  # capped: refuses first
+    polar = sorted(polar_complex(code).facets)  # capped: refuses first
+    factor = sorted(factor_complex(code).facets)
     n = code.n
 
     def face_json(mask: int) -> dict:
@@ -194,7 +195,7 @@ def _cmd_complexes(args, code: Code) -> int:
         ("delta_facets", sorted(downward_closure(code).facets), _mask_json,
          lambda f: word_text(f, n)),
         ("factor_facets", factor, face_json, face_text),
-        ("polar_facets", sorted(polar_complex(code).facets), face_json, face_text),
+        ("polar_facets", polar, face_json, face_text),
         ("minimal_prime_sets", sorted(prime_sets(code)), _face_json, str),
         ("sr_minimal_primes", sorted(sr_minimal_primes(code)), _mask_json,
          monomial_prime_text),

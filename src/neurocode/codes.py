@@ -184,15 +184,6 @@ def _maximal_members(masks: list[int]) -> list[int]:
     return out
 
 
-def _minimal_members(masks: list[int]) -> list[int]:
-    """The masks of a family of distinct masks that contain no other one:
-    the complements of the maximal members of the complements."""
-    union = 0
-    for m in masks:
-        union |= m
-    return [union ^ m for m in _maximal_members([union ^ m for m in masks])]
-
-
 def _is_antichain(masks: list[int]) -> bool:
     """True iff no mask of the family of distinct masks lies inside another."""
     return len(_maximal_members(masks)) == len(masks)

@@ -20,6 +20,7 @@ from .codes import (
     full_mask,
 )
 from .ideals import (
+    CapExceededError,
     Pseudomonomial,
     _check_cap,
     canonical_form,
@@ -91,9 +92,6 @@ class SimplicialComplex:
                 raise ValueError(f"facet {f} outside the universe")
         if not _is_antichain(list(facets)):
             raise ValueError("facets must form an antichain")
-
-    def is_face(self, mask: int) -> bool:
-        return any(mask & ~f == 0 for f in self.facets)
 
     def polar_facets(self) -> frozenset[PolarFace]:
         if not self.universe.polar:
@@ -237,8 +235,14 @@ def polar_complex(code: Code) -> SimplicialComplex:
     """The complex whose Stanley-Reisner ideal is the polar ideal.
 
     Contains the factor complex; its effective facets are exactly the
-    factor complex's facets.
+    factor complex's facets. Its facets come from a Berge dualization,
+    which can run for minutes above n = 10, so that is refused up front.
     """
+    _check_cap(code.n)
+    if code.n > 10:
+        raise CapExceededError(
+            f"n={code.n} exceeds the limit of 10 on the polar complex: its facets "
+            "come from a Berge dualization of the polar ideal, which can run for minutes")
     return complex_of_ideal(polar_ideal(code))
 
 

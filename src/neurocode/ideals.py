@@ -25,11 +25,13 @@ CF_MAX_N = 12
 
 
 class CapExceededError(ValueError):
-    """A request was refused because n is above ``CF_MAX_N``."""
+    """A request was refused because n is above ``CF_MAX_N``, or above 10
+    for the polar complex."""
 
 
 def _check_cap(n: int) -> None:
-    """Refuse n above CF_MAX_N; ``canonical_form`` and ``factor_complex`` call this first."""
+    """Refuse n above CF_MAX_N; ``canonical_form``, ``factor_complex`` and
+    ``polar_complex`` call this first."""
     if n > CF_MAX_N:
         raise CapExceededError(
             f"n={n} exceeds the cap of {CF_MAX_N} on the canonical form and the "
@@ -72,15 +74,6 @@ class PrimePseudomonomialIdeal:
     def zero_interval(self, n: int) -> Interval:
         """The Boolean interval on which every generator vanishes."""
         return Interval(self.neg, full_mask(n) & ~self.pos)
-
-    def contains(self, pm: Pseudomonomial) -> bool:
-        """Ideal membership, decided on zero sets.
-
-        A pseudomonomial lies in the prime iff it vanishes on the prime's
-        zero interval, which happens exactly when sigma meets pos or tau
-        meets neg.
-        """
-        return bool(pm.sigma & self.pos or pm.tau & self.neg)
 
     def __str__(self) -> str:
         gens = [f"x{i}" for i in _neuron_names(self.pos)]

@@ -36,6 +36,7 @@ from neurocode.classify import (
     IntersectionWitness,
     PseudomonomialWitness,
 )
+from neurocode.codes import _maximal_members
 from neurocode.complexes import sr_minimal_primes
 
 # the worked example used throughout: C = {empty, 2, 3, 12, 13} on n = 3
@@ -334,12 +335,35 @@ def check_method_agreement(code: Code) -> tuple[bool, bool]:
     return ic["brute"].verdict, mic["brute"].verdict
 
 
+def minimal_members(masks: list[int]) -> list[int]:
+    """The masks of a family of distinct masks that contain no other one:
+    the complements of the maximal members of the complements."""
+    union = 0
+    for m in masks:
+        union |= m
+    return [union ^ m for m in _maximal_members([union ^ m for m in masks])]
+
+
+def is_face(cx, mask: int) -> bool:
+    """True when some facet of the complex contains the mask."""
+    return any(mask & ~f == 0 for f in cx.facets)
+
+
+def prime_contains(prime, pm: Pseudomonomial) -> bool:
+    """Membership in a prime pseudomonomial ideal, decided on zero sets.
+
+    A pseudomonomial lies in the prime iff it vanishes on the prime's zero
+    interval, which happens exactly when sigma meets pos or tau meets neg.
+    """
+    return bool(pm.sigma & prime.pos or pm.tau & prime.neg)
+
+
 def all_prime_sets(code: Code) -> set[int]:
     """Every barred set B with [n] + B-bar not a face of the factor complex,
     minimal or not, straight from the definition."""
     full = full_mask(code.n)
     fc = factor_complex(code)
-    return {b for b in range(1 << code.n) if not fc.is_face(full | b << code.n)}
+    return {b for b in range(1 << code.n) if not is_face(fc, full | b << code.n)}
 
 
 @lru_cache(maxsize=None)
@@ -392,7 +416,7 @@ def check_correspondences(code: Code) -> None:
 
     # the polar ideal sits inside the factor ideal; complexes the other way
     assert all(fi_members >> g & 1 for g in pi.generators)
-    assert all(pc.is_face(f) for f in fc.facets)
+    assert all(is_face(pc, f) for f in fc.facets)
 
     # codewords are exactly the faces w + bar([n] - w), in both complexes
     for w in range(1 << n):

@@ -42,7 +42,6 @@ from neurocode import (
     verify_dictionary,
 )
 from neurocode.classify import _IC_METHODS, _MIC_METHODS
-from neurocode.codes import _minimal_members
 from neurocode.cli import run_command
 
 from oracles import (
@@ -51,6 +50,7 @@ from oracles import (
     check_method_agreement,
     example_code,
     example_complement,
+    minimal_members,
     replay_witness,
     sample_codes,
 )
@@ -254,7 +254,7 @@ def squarefree_ideals(draw):
     size = draw(st.integers(1, 8))
     supports = draw(st.frozensets(st.integers(1, (1 << size) - 1), max_size=6))
     return SquarefreeMonomialIdeal(
-        Universe(size, polar=False), frozenset(_minimal_members(list(supports))))
+        Universe(size, polar=False), frozenset(minimal_members(list(supports))))
 
 
 @_SETTINGS

@@ -11,7 +11,9 @@ from neurocode import (
     Interval,
     PolarFace,
     Pseudomonomial,
+    SimplicialComplex,
     canonical_form,
+    factor_complex,
     is_intersection_complete_bruteforce,
     is_intersection_complete_cf,
     is_intersection_complete_facets,
@@ -369,7 +371,8 @@ class TestVerifyDictionary:
     def test_maximality_fails_when_the_kernel_narrows_an_interval(self):
         # the canonical form and the factor complex are built from the same
         # (wrong) intervals; the one-neuron widening test sees that the
-        # reported sub-interval is not maximal without going through them
+        # reported sub-interval is not maximal without going through them,
+        # and beta sees the facet image of the enumeration differ
         for code in random_codes(6, 12, seed=4600):
             miv = code.maximal_intervals
             iv, sub = next((iv, sub) for iv in sorted(miv)
@@ -380,9 +383,22 @@ class TestVerifyDictionary:
                                       for o in miv - {iv}))
             code.__dict__["maximal_intervals"] = miv - {iv} | {sub}
             report = verify_dictionary(code)
-            maximality = next(c for c in report.checks if c.name == "maximality")
-            assert not maximality.passed
+            checks = {c.name: c for c in report.checks}
+            assert not checks["maximality"].passed
+            assert not checks["beta"].passed
             assert not report.passed
+
+    def test_beta_fails_when_the_factor_complex_drops_a_facet(self):
+        # beta compares the memoized factor complex with the facet image of
+        # alpha's enumeration, which never reads it; alpha still passes
+        for code in random_codes(6, 6, seed=4650):
+            fc = factor_complex(code)
+            code.__dict__["_factor_complex"] = SimplicialComplex(
+                fc.universe, fc.facets - {min(fc.facets)})
+            checks = {c.name: c for c in verify_dictionary(code).checks}
+            assert not checks["beta"].passed
+            assert "from enumeration" in checks["beta"].detail
+            assert checks["alpha"].passed
 
     def test_cap_refuses_before_the_intervals(self):
         code = Code(13, {0, 1, 3})

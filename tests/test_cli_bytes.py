@@ -46,8 +46,9 @@ COMMANDS = {
     **{f"check mic {m}": ["check", "mic", "--method", m]
        for m in ("brute", "algebraic", "facets")},
 }
-# dualizations dominate above these n
-SMALL_ONLY = {"complexes": 6, "verify": 8}
+# the polar complex's dualization dominates above n = 6; verify stays
+# under a second a code up to n = 11
+SMALL_ONLY = {"complexes": 6, "verify": 11}
 LARGE = ("intervals", "check ic brute", "check mic brute")  # also at n = 12, 14, 16
 
 

@@ -27,7 +27,7 @@ from neurocode import (
     prime_sets,
     sr_minimal_primes,
 )
-from neurocode.codes import _maximal_members, _minimal_members
+from neurocode.codes import _maximal_members
 
 from oracles import (
     all_codes,
@@ -35,6 +35,8 @@ from oracles import (
     check_correspondences,
     example_code,
     example_complement,
+    is_face,
+    minimal_members,
     oracle_complex_facets,
     random_codes,
     sample_codes,
@@ -121,7 +123,7 @@ class TestComplexOfIdeal:
             ideal = SquarefreeMonomialIdeal(
                 Universe(size, polar=False) if size % 2 or size > 8
                 else Universe(size // 2, polar=True),
-                frozenset(_minimal_members(list(supports))))
+                frozenset(minimal_members(list(supports))))
             assert complex_of_ideal(ideal).facets == oracle_complex_facets(
                 ideal.generators, size)
 
@@ -134,7 +136,7 @@ class TestIdealComplexRoundTrip:
             universe = Universe(size, polar=False)
             supports = {rng.randint(1, (1 << size) - 1) for _ in range(rng.randint(0, 6))}
             ideal = SquarefreeMonomialIdeal(
-                universe, frozenset(_minimal_members(list(supports))))
+                universe, frozenset(minimal_members(list(supports))))
             assert ideal_of_complex(complex_of_ideal(ideal)) == ideal
             cx = complex_of_ideal(ideal)
             assert complex_of_ideal(ideal_of_complex(cx)) == cx
@@ -167,6 +169,15 @@ class TestFactorComplex:
 
 
 class TestPolarComplex:
+    @pytest.mark.parametrize("n, message", [
+        (11, "limit of 10 on the polar complex"), (12, "limit of 10 on the polar complex"),
+        (13, "cap of 12 on the canonical form")])
+    def test_refused_above_n10_before_any_work(self, n, message):
+        code = Code(n, {0, 1, 3})
+        with pytest.raises(CapExceededError, match=message):
+            polar_complex(code)
+        assert "complement" not in code.__dict__
+
     def test_complement_example(self):
         assert polar_complex(example_complement()).polar_facets() == {
             pf(0b001, 0b110), pf(0b111, 0b001),
@@ -231,7 +242,7 @@ class TestPrimeSets:
     def test_empty_prime_set_iff_plain_universe_not_a_face(self):
         for code in all_codes(3):
             has_empty = 0 in all_prime_sets(code)
-            assert has_empty == (not factor_complex(code).is_face(0b111))
+            assert has_empty == (not is_face(factor_complex(code), 0b111))
 
     def test_matches_definition(self):
         # the minimal members of every barred set B with [n] + B-bar not a
@@ -387,7 +398,7 @@ class TestAntichainChecks:
             fam = fam - {0}
             expected = {g for g in fam
                         if not any(g != h and h & ~g == 0 for h in fam)}
-            assert set(_minimal_members(list(fam))) == expected
+            assert set(minimal_members(list(fam))) == expected
 
     def test_filters_reject_out_of_range_input(self):
         with pytest.raises(ValueError, match="outside the universe"):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -432,6 +433,44 @@ def test_benchmark_smoke_run():
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"],
                           cwd=root, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+# (n, density, argv): n = 11 and 12 where dualization used to run for
+# minutes, and every code-reading command on a dense n = 16 document
+DEADLINE_REQUESTS = [
+    *((n, density, argv) for n, density in ((11, 0.5), (12, 0.5), (12, 0.9))
+      for argv in (["complexes"], ["verify"])),
+    *((16, 0.9, argv) for argv in (
+        ["cf"], ["intervals"], ["intervals", "--json"], ["decompose"], ["complexes"],
+        ["check", "ic"], ["check", "mic"], ["verify"])),
+]
+
+
+@pytest.fixture(scope="module")
+def deadline_documents(tmp_path_factory):
+    paths = {}
+    for n, density in sorted({(n, d) for n, d, _ in DEADLINE_REQUESTS}):
+        path = paths[n, density] = tmp_path_factory.mktemp("deadline") / f"n{n}.code"
+        path.write_text(render_code_document(
+            next(random_codes(n, 1, seed=9500 + n, densities=(density,)))))
+    return paths
+
+
+@pytest.mark.parametrize("n, density, argv", DEADLINE_REQUESTS,
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_answers_or_refuses_within_the_deadline(n, density, argv, deadline_documents):
+    # a fresh process per request; subprocess.run raises TimeoutExpired past 30 s
+    proc = subprocess.run(
+        [sys.executable, "-m", "neurocode", *argv, "--input",
+         str(deadline_documents[n, density])],
+        capture_output=True, env={**os.environ, "PYTHONPATH": "src"},
+        cwd=Path(__file__).resolve().parent.parent, timeout=30)
+    if proc.returncode == 1:
+        assert proc.stdout == b""
+        assert re.fullmatch(rb"error: n=\d+ exceeds the (cap|limit) of \d+ [^\n]*\n", proc.stderr)
+    else:
+        assert proc.returncode in (0, 2), proc.stderr[-2000:]
+        assert proc.stdout
 
 
 @pytest.mark.parametrize("demo", sorted(
