@@ -271,8 +271,7 @@ class Code:
     @cached_property
     def complement(self) -> "Code":
         """The code whose words are exactly the non-words of this one."""
-        comp = Code(self.n, frozenset(
-            w for w in range(1 << self.n) if w not in self.words))
+        comp = _code_from_bits(self.n, self.word_bits ^ ((1 << (1 << self.n)) - 1))
         comp.__dict__["complement"] = self  # complementation is an involution
         return comp
 
@@ -330,3 +329,20 @@ class Code:
 
         visit(self.word_bits, 0, 0)
         return frozenset(out)
+
+
+def _code_from_bits(n: int, bits: int) -> Code:
+    """The code whose words are the set bits of ``bits``, a bitset over the
+    2**n subsets, which it keeps as its cached ``word_bits``.
+
+    The one check 0 < bits < 2**(2**n) - 1 stands in for the word-by-word
+    checks of ``Code.__post_init__``: every set bit is a word that fits n
+    neurons, some bit is set (nonempty) and some is clear (proper).
+    """
+    _check_neuron_count(n)
+    if not 0 < bits < (1 << (1 << n)) - 1:
+        raise InvalidCodeError(
+            f"a word bitset on {n} neurons must be in 1..2**{1 << n} - 2")
+    code = object.__new__(Code)
+    code.__dict__.update(n=n, words=frozenset(_set_bits(bits)), word_bits=bits)
+    return code

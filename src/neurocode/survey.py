@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .classify import _IC_METHODS, _MIC_METHODS
-from .codes import Code, _check_neuron_count
+from .codes import Code, _check_neuron_count, _code_from_bits
 from .ideals import canonical_form
 
 SURVEY_MAX_N = 4
@@ -48,15 +48,18 @@ class SurveySummary:
 
 
 def code_from_id(n: int, code_id: int) -> Code:
-    """Decode a canonical id: bit w of the id marks word w as present.
+    """Decode a canonical id: the id is the code's word bitset, so bit w
+    marks word w as present.
 
     Ids run from 1 to 2**(2**n) - 2 (the empty and full word sets are not
     codes); n is checked first, and an id outside that range is refused.
+    The code is built from the bitset, so its words are not checked again
+    one by one.
     """
     _check_neuron_count(n)
     if not 1 <= code_id <= (1 << (1 << n)) - 2:
         raise ValueError(f"a code id on n={n} neurons must be in 1..2**{1 << n} - 2")
-    return Code(n, frozenset(w for w in range(1 << n) if code_id >> w & 1))
+    return _code_from_bits(n, code_id)
 
 
 def survey(n: int) -> Iterator[SurveyRow]:

@@ -117,6 +117,12 @@ def all_pseudomonomials(n: int) -> tuple[Pseudomonomial, ...]:
     return tuple(Pseudomonomial(s, t) for s, t in disjoint_pairs(n))
 
 
+def oracle_complement(code: Code) -> Code:
+    """The code of the non-words, built word by word over all 2**n words."""
+    return Code(code.n, frozenset(
+        w for w in range(1 << code.n) if w not in code.words))
+
+
 def oracle_maximal_intervals(code: Code) -> frozenset[Interval]:
     """Full 3**n scan of interval endpoints, pairwise maximality prune."""
     member = code.words.__contains__

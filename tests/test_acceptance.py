@@ -4,6 +4,7 @@ The lines bypass pytest's capture, so they show up interleaved with the
 progress output under any capture mode.
 """
 
+import hashlib
 import time
 from contextlib import contextmanager, nullcontext, redirect_stdout
 from io import StringIO
@@ -175,6 +176,10 @@ def test_criterion_3_randomized_n4_n5():
             assert count == 10_000
 
 
+# sha256 of the whole `survey --n 4` text, header and footer included
+SURVEY_N4_SHA256 = "8903c6599bc45c1d161c88a1f3879684cae03e553e703bddf2c5148ff8bb514d"
+
+
 def test_criterion_4_survey_n4_deterministic():
     with criterion("survey-n4", 240.0):
         outputs = []
@@ -189,6 +194,7 @@ def test_criterion_4_survey_n4_deterministic():
         assert outputs[0] == outputs[1], "survey runs differ byte for byte"
         rows = [line for line in outputs[0].splitlines() if not line.startswith("#")]
         assert len(rows) == 65_534
+        assert hashlib.sha256(outputs[0].encode()).hexdigest() == SURVEY_N4_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ from contextlib import contextmanager
 
 import pytest
 
-from neurocode import (Code, Interval, InvalidCodeError, downward_closure,
-                       minimal_transversals, neurons_from_mask, submasks)
-from neurocode.codes import (_down_closure, _intersection_closure, _neuron_names,
-                             _set_bits)
+from neurocode import (Code, Interval, InvalidCodeError, code_from_id,
+                       downward_closure, minimal_transversals, neurons_from_mask,
+                       submasks)
+from neurocode.codes import (_code_from_bits, _down_closure, _intersection_closure,
+                             _neuron_names, _set_bits)
 
 from oracles import (
     EXAMPLE_COMPLEMENT_WORDS,
@@ -16,6 +17,7 @@ from oracles import (
     down_closure,
     example_code,
     example_complement,
+    oracle_complement,
     oracle_intersections,
     oracle_maximal_codewords,
     oracle_maximal_intervals,
@@ -45,6 +47,61 @@ class TestComplement:
     def test_involution_exhaustive_n3(self):
         for code in all_codes(3):
             assert code.complement.complement == code
+
+
+def word_bitsets(n: int) -> list[int]:
+    """Word bitsets for the bitset-built codes: every id with n <= 3, 500
+    seeded ids at n = 4, and seeded sparse, even and dense bitsets above."""
+    if n <= 3:
+        return list(range(1, (1 << (1 << n)) - 1))
+    rng = random.Random(0xB175 + n)
+    if n == 4:
+        return rng.sample(range(1, (1 << 16) - 1), 500)
+    size = 1 << n
+    out = [1, 1 << (size - 1), (1 << size) - 2, (1 << (size - 1)) - 1]
+    for density in (0.1, 0.5, 0.9):
+        for _ in range({8: 10, 12: 3, 16: 2}[n]):
+            out.append(int("".join("1" if rng.random() < density else "0"
+                                   for _ in range(size)), 2))
+    return out
+
+
+class TestCodeFromBits:
+    """Survey ids and complements are built from their word bitset; they
+    must be the codes that ``Code`` builds word by word."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 12, 16])
+    def test_equals_the_word_by_word_code(self, n):
+        for bits in word_bitsets(n):
+            code = code_from_id(n, bits)
+            ref = Code(n, frozenset(w for w in range(1 << n) if bits >> w & 1))
+            assert code == ref
+            assert hash(code) == hash(ref)
+            assert code.word_list == ref.word_list
+            assert code.word_bits == bits == ref.word_bits
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 12, 16])
+    def test_complement_matches_oracle(self, n):
+        for bits in word_bitsets(n):
+            code = code_from_id(n, bits)
+            comp = code.complement
+            ref = oracle_complement(code)
+            assert comp == ref
+            assert comp.word_list == ref.word_list
+            assert comp.word_bits == ref.word_bits
+            assert comp.complement is code
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 16])
+    def test_refuses_empty_full_and_out_of_range(self, n):
+        full = (1 << (1 << n)) - 1
+        for bits in (0, full, -1, -full, full + 1, full + 2, 1 << ((1 << n) + 1)):
+            with pytest.raises(InvalidCodeError):
+                _code_from_bits(n, bits)
+
+    def test_refuses_bad_neuron_count(self):
+        for n in (0, 17, True):
+            with pytest.raises(InvalidCodeError):
+                _code_from_bits(n, 1)
 
 
 class TestInterval:

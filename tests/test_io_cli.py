@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -473,6 +474,19 @@ def test_answers_or_refuses_within_the_deadline(n, density, argv, deadline_docum
         assert proc.stdout
 
 
+# sha256 of each demo's stdout
+DEMO_STDOUT_SHA256 = {
+    "01_codes_and_intervals": "ee2b44215f5a91cfece544a2f115ba586817b751fb7b10018128771e472fd2b1",
+    "02_neural_ideal_and_canonical_form":
+        "10cbe24f1c2fc343fda783e2143611d2229ca53e5c503b74485621373a6a1390",
+    "03_polarization_and_complexes":
+        "164f38dad2b31a7571e8ccc2dff131df5967e8a6af98fb89deaa767b5829134c",
+    "04_deciding_closure_properties":
+        "dc8d2904faece725d8e580c3b68cc7b897b1a84697836e9d4eed7e46241d44c0",
+    "05_survey": "a8339255deac9337ed1e9437a6f0f6863b7c65cb331c995720a3f6f132317309",
+}
+
+
 @pytest.mark.parametrize("demo", sorted(
     (Path(__file__).resolve().parent.parent / "demos").glob("0[1-5]_*.py")),
     ids=lambda path: path.stem)
@@ -482,6 +496,8 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=root, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEMO_STDOUT_SHA256[demo.stem], \
+        proc.stdout[-2000:]
 
 
 def test_star_import_binds_exactly_all():
