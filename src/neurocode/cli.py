@@ -76,7 +76,9 @@ def _build_parser() -> _Parser:
 
 def _read_code(args) -> Code:
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as handle:
+        # newline="" keeps the file's line ends as they are, as POSIX stdin
+        # does, so both hand the parser the same text
+        with open(args.input, "r", encoding="utf-8", newline="") as handle:
             text = handle.read()
         source = args.input
     else:

@@ -331,6 +331,17 @@ class Code:
         return frozenset(out)
 
 
+def _trusted_code(n: int, words: frozenset[int]) -> Code:
+    """A code built without ``Code.__post_init__``'s word-by-word checks.
+
+    The caller vouches for all of them: n is an int in 1..MAX_NEURONS,
+    every word fits n neurons, and the words are nonempty and proper.
+    """
+    code = object.__new__(Code)
+    code.__dict__.update(n=n, words=words)
+    return code
+
+
 def _code_from_bits(n: int, bits: int) -> Code:
     """The code whose words are the set bits of ``bits``, a bitset over the
     2**n subsets, which it keeps as its cached ``word_bits``.
@@ -343,6 +354,6 @@ def _code_from_bits(n: int, bits: int) -> Code:
     if not 0 < bits < (1 << (1 << n)) - 1:
         raise InvalidCodeError(
             f"a word bitset on {n} neurons must be in 1..2**{1 << n} - 2")
-    code = object.__new__(Code)
-    code.__dict__.update(n=n, words=frozenset(_set_bits(bits)), word_bits=bits)
+    code = _trusted_code(n, frozenset(_set_bits(bits)))
+    code.__dict__["word_bits"] = bits
     return code

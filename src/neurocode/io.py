@@ -6,14 +6,20 @@ else; one carriage return before it is dropped. Binary strings (``010``,
 exactly n characters) and subset literals (bare digits like ``23`` for
 n <= 9, comma lists like ``{2,11}`` for any n) may be mixed line by line.
 Blank lines and ``#`` comments are ignored.
+
+``parse_code`` reads the documents ``render_code_document`` writes in bulk
+and hands any other to a line loop, the only source of parse errors,
+their line numbers and parse warnings.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
+from itertools import repeat
 
-from .codes import MAX_NEURONS, Code, Interval, _neuron_names, mask_from_neurons
+from .codes import (MAX_NEURONS, Code, Interval, _neuron_names, _trusted_code,
+                    mask_from_neurons)
 
 
 class ParseError(ValueError):
@@ -33,6 +39,10 @@ _N_LINE = re.compile(r"^n[ \t]*=[ \t]*([0-9]+)$")
 _BINARY = re.compile(r"^[01]+$")
 _DIGITS = re.compile(r"^[0-9]+$")
 _BRACES = re.compile(r"^\{([0-9, \t]*)\}$")
+# The bulk reader's header, n= and at most two digits as render_code_document
+# writes it, and the characters its body may hold, which str.translate deletes.
+_PLAIN_HEADER = re.compile(r"n=([0-9]{1,2})")
+_PLAIN_BODY = dict.fromkeys(map(ord, "01\n"))
 
 
 def _parse_word(token: str, n: int) -> int:
@@ -72,11 +82,36 @@ def _parse_word(token: str, n: int) -> int:
 def parse_code(text: str, source: str = "<input>") -> Code:
     """Parse a document into a code.
 
+    A plain document (a bare ``n=<k>`` header, then only k-character binary
+    lines) is read in bulk: one ``str.translate`` that must delete the whole
+    body, one length test over all lines, one reversal of the body so that
+    each line's ``int(..., 2)`` reads character k as bit k, and one
+    ``frozenset``. It is accepted only if its words are distinct and do not
+    make the code full. Anything else, errors included, goes to the line
+    loop, which alone reports errors and warnings.
+    """
+    header, _, body = text.partition("\n")
+    m = _PLAIN_HEADER.fullmatch(header)
+    if m and not body.translate(_PLAIN_BODY):
+        n = int(m.group(1))
+        # reversing the body reverses the line order and each line's digits
+        lines = body.removesuffix("\n")[::-1].split("\n")
+        if 1 <= n <= MAX_NEURONS and set(map(len, lines)) == {n}:
+            words = frozenset(map(int, lines, repeat(2)))
+            if len(words) == len(lines) < 1 << n:  # no duplicate, not full
+                return _trusted_code(n, words)
+    return _parse_lines(text, source)
+
+
+def _parse_lines(text: str, source: str) -> Code:
+    """The line loop: every document the bulk reader does not vouch for.
+
     One pass: duplicates and the line at which the code becomes full are
     noted as the words are read, and reported only once every word has
     parsed, so a syntax error anywhere wins over code-level checks.
     Duplicate words are then dropped with a warning; empty and full codes
-    are rejected with the offending line.
+    are rejected with the offending line. Every word has been checked
+    against n on the way, so the code is built without checking them again.
     """
     lines = text.split("\n")
     if not lines[-1]:
@@ -120,7 +155,7 @@ def parse_code(text: str, source: str = "<input>") -> Code:
     if not seen:
         raise ParseError(source, max(len(lines), 1),
                          "no codewords given; nonempty codes required")
-    return Code(n, frozenset(seen))
+    return _trusted_code(n, frozenset(seen))
 
 
 def render_code_document(code: Code) -> str:

@@ -2,9 +2,11 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import ModuleType
 
@@ -22,6 +24,7 @@ from neurocode import (
     render_code_document,
     survey,
 )
+from neurocode import io as nio
 from neurocode.cli import run_command
 
 from oracles import all_codes, example_code, random_codes, sample_codes
@@ -150,6 +153,94 @@ class TestParse:
                 parse_code("n=1\n0\n0\n1\n", source="doc")
         assert [str(w.message) for w in caught] == ["doc:3: duplicate word '0' ignored"]
         assert err.value.line == 4
+
+
+def _outcome(parse, text):
+    """What a parse gives: the code with its derived word forms, or the
+    error's message and line; plus every warning, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = parse(text, "doc")
+        except ParseError as err:
+            result = ("error", str(err), err.line)
+        else:
+            assert type(code) is Code
+            result = ("code", code, hash(code), code.word_bits, code.word_list)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _seeded_documents():
+    """Rendered random codes at n = 1..16, in ascending and in shuffled word
+    order, and each with one of its lines repeated at a random place."""
+    rng = random.Random(1801)
+    for n in range(1, 17):
+        for code in random_codes(n, 3, seed=1800 + n):
+            text = render_code_document(code)
+            yield f"n={n} ascending", text
+            header, *lines = text.splitlines()
+            rng.shuffle(lines)
+            yield f"n={n} shuffled", "\n".join([header, *lines]) + "\n"
+            lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+            yield f"n={n} duplicate", "\n".join([header, *lines]) + "\n"
+
+
+EDGE_DOCUMENTS = {
+    "missing final newline": "n=2\n01\n10",
+    "trailing blank line": "n=2\n01\n10\n\n",
+    "blank line between words": "n=2\n01\n\n10\n",
+    "spaces around =": "n = 4\n0101\n1100\n",
+    "header with a leading space": " n=4\n0101\n1100\n",
+    "header with a comment": "n=4 # four neurons\n0101\n1100\n",
+    "header with a leading zero": "n=03\n010\n001\n",
+    "header ending in CR": "n=2\r\n01\n10\n",
+    "no-break space before the header": "\u00a0n=2\n01\n",
+    "comment line": "# a code\nn=3\n010\n001\n",
+    "n=0": "n=0\n0\n",
+    "n=0, no words": "n=0\n",
+    "n=17": "n=17\n" + "0" * 17 + "\n",
+    "n=99": "n=99\n0\n",
+    "CRLF": "n=3\r\n010\r\n001\r\n",
+    "lone CR in the header": "n=2\r01\n10\n",
+    "lone CR between words": "n=3\n010\r001\n",
+    "short line": "n=3\n010\n01\n",
+    "long line": "n=3\n010\n0011\n",
+    "braces mixed with binary lines": "n=3\n010\n{1,3}\n{}\n",
+    "bare digits mixed with binary lines": "n=3\n010\n23\n0\n",
+    "binary word that is also a digit word": "n=1\n1\n",
+    "underscore in a word": "n=3\n0_1\n",
+    "sign before a word": "n=3\n+01\n",
+    "duplicate before the code is full": "n=2\n01\n01\n10\n",
+    "duplicate after the code is full": "n=2\n00\n01\n00\n10\n11\n01\n",
+    "full code": "n=2\n00\n01\n10\n11\n",
+    "header with no words": "n=3\n",
+    "header with no newline": "n=3",
+    "empty document": "",
+}
+
+
+class TestBulkReader:
+    """parse_code's bulk reader against the line loop it stands in for."""
+
+    def test_seeded_documents_agree(self):
+        for name, text in _seeded_documents():
+            assert _outcome(parse_code, text) == _outcome(nio._parse_lines, text), name
+
+    @pytest.mark.parametrize("text", EDGE_DOCUMENTS.values(), ids=EDGE_DOCUMENTS.keys())
+    def test_edge_documents_agree(self, text):
+        assert _outcome(parse_code, text) == _outcome(nio._parse_lines, text)
+
+    def test_plain_documents_never_reach_the_line_loop(self, monkeypatch):
+        def refuse(text, source):
+            raise AssertionError("line loop reached")
+
+        monkeypatch.setattr(nio, "_parse_lines", refuse)
+        for n in (1, 2, 9, 10, 16):
+            for code in random_codes(n, 3, seed=1900 + n):
+                assert parse_code(render_code_document(code)) == code
+        assert parse_code("n=2\n01\n10") == Code(2, {0b10, 0b01})
+        with pytest.raises(AssertionError, match="line loop reached"):
+            parse_code("n=3\n010\n001  # the word {3}\n")
 
 
 class TestRenderRoundTrip:
@@ -300,6 +391,34 @@ class TestCliCommands:
         assert proc.stderr == (
             b"warning: <stdin>:3: duplicate word '0' ignored\n"
             b"error: <stdin>:4: code contains every subset of [n]; proper codes required\n")
+
+    @staticmethod
+    def _cli_through_file_and_stdin(tmp_path, data: bytes):
+        """(exit status, stdout, stderr) of ``intervals`` on ``data`` given
+        as --input and then on a real stdin, with the file name put in
+        place of ``<stdin>`` in the first stderr."""
+        path = tmp_path / "doc.code"
+        path.write_bytes(data)
+        runs = []
+        for args, stdin in ((["--input", path.name], b""), ([], data)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "neurocode", "intervals", *args], input=stdin,
+                capture_output=True, cwd=tmp_path, check=False,
+                env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")})
+            runs.append((proc.returncode, proc.stdout,
+                         proc.stderr.replace(path.name.encode(), b"<stdin>")))
+        return runs
+
+    def test_lone_cr_is_read_alike_from_a_file_and_stdin(self, tmp_path):
+        by_file, by_stdin = self._cli_through_file_and_stdin(tmp_path, b"n=2\r01\n10\n")
+        assert by_file == by_stdin == (
+            1, b"", b"error: <stdin>:1: expected the neuron count first, as n=<k>\n")
+
+    def test_crlf_parses_like_lf_from_a_file_and_stdin(self, tmp_path):
+        lf = b"n=3\n010\n001\n110\n"
+        runs = self._cli_through_file_and_stdin(tmp_path, lf.replace(b"\n", b"\r\n"))
+        assert runs == self._cli_through_file_and_stdin(tmp_path, lf)
+        assert runs[0] == (0, b"[2,12]\n[3,3]\n", b"")
 
     def test_closed_stdout_exits_one_with_empty_stderr(self, tmp_path):
         # about 0.5 MB of intervals, far more than a pipe buffers, so the
