@@ -98,22 +98,56 @@ def _clear_masks(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _hold_masks(n: int) -> tuple[int, ...]:
+    """Bitsets over the 2**n subsets: entry i marks the words with neuron i + 1.
+
+    The down steps AND with these rather than with ``~_clear_masks(n)[i]``:
+    a negative operand costs CPython a two's-complement copy of the bitset.
+    """
+    full = (1 << (1 << n)) - 1
+    return tuple(full ^ keep for keep in _clear_masks(n))
+
+
 def _down_closure(bits: int, n: int) -> int:
     """The subsets of the members of a bitset over the cube: n shift steps."""
-    for i, keep in enumerate(_clear_masks(n)):
-        bits |= (bits & ~keep) >> (1 << i)
+    for i, hold in enumerate(_hold_masks(n)):
+        bits |= (bits & hold) >> (1 << i)
     return bits
 
 
 def _intersection_closure(bits: int, n: int) -> int:
-    """The intersections of all nonempty subfamilies of a bitset's members:
-    w is one iff it lies below some member and, for each neuron i outside w,
-    below some member without i (those members meet in w). n + 1 down-closures.
+    """The intersections of all nonempty subfamilies of a bitset's members.
+
+    [n] is one iff it is a member. Any other word w is one iff, for each
+    neuron i outside w, some member without i lies above w (those members
+    meet in w): iff w lies in D_i, the down-closure of the members along
+    every neuron but i, as D(bits & keep_i) == D_i & keep_i. That puts w
+    below a member too, so no full down-closure is needed. One
+    divide-and-conquer pass gives all n closures D_i in n * ceil(log2 n)
+    shift steps: 64 at n = 16, against 272 for n + 1 full down-closures.
     """
-    out = _down_closure(bits, n)
-    for keep in _clear_masks(n):
-        out &= ~keep | _down_closure(bits & keep, n)
-    return out
+    if n == 1:
+        return bits  # the words on one neuron form a chain
+    out = (1 << (1 << n) - 1) - 1 | bits  # every word but [n], and the members
+    return out & _leave_one_out(bits, 0, n, _hold_masks(n))
+
+
+def _leave_one_out(bits: int, lo: int, hi: int, hold: tuple[int, ...]) -> int:
+    """The AND of hold[i] | D_i over the neurons i in lo..hi - 1 (at least two).
+
+    ``bits`` comes closed along every neuron outside lo..hi - 1. Closing it
+    along one half of the range serves every neuron of the other half, so
+    each level of the recursion takes one shift step per neuron.
+    """
+    mid = (lo + hi) >> 1
+    left = right = bits
+    for i in range(mid, hi):
+        left |= (left & hold[i]) >> (1 << i)
+    for i in range(lo, mid):
+        right |= (right & hold[i]) >> (1 << i)
+    out = hold[lo] | left if mid - lo == 1 else _leave_one_out(left, lo, mid, hold)
+    return out & (hold[mid] | right if hi - mid == 1 else _leave_one_out(right, mid, hi, hold))
 
 
 def _member_bits(lo: int, hi: int) -> int:
@@ -285,8 +319,8 @@ class Code:
         """
         wb = self.word_bits
         below = 0
-        for i, keep in enumerate(_clear_masks(self.n)):
-            below |= (wb & ~keep) >> (1 << i)
+        for i, hold in enumerate(_hold_masks(self.n)):
+            below |= (wb & hold) >> (1 << i)
         return frozenset(_set_bits(wb & ~_down_closure(below, self.n)))
 
     def contains_interval(self, iv: Interval) -> bool:

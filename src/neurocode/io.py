@@ -45,6 +45,21 @@ _PLAIN_HEADER = re.compile(r"n=([0-9]{1,2})")
 _PLAIN_BODY = dict.fromkeys(map(ord, "01\n"))
 
 
+def _small_int(digits: str) -> int:
+    """A decimal string's value, or 0 if it has more than two significant
+    digits. Neuron counts and indices lie in 1..16, so such a value is out
+    of range as 0 is; and ``int`` refuses strings of more than 4,300
+    digits, leading zeros included."""
+    digits = digits.lstrip("0")
+    return int(digits) if 0 < len(digits) <= 2 else 0
+
+
+def _number_text(digits: str) -> str:
+    """A decimal string for a message, without leading zeros and cut short."""
+    digits = digits.lstrip("0") or "0"
+    return digits if len(digits) <= 20 else f"{digits[:8]}... ({len(digits)} digits)"
+
+
 def _parse_word(token: str, n: int) -> int:
     if len(token) == n and _BINARY.match(token):
         return int(token[::-1], 2)  # character k is neuron k + 1, bit k
@@ -58,10 +73,16 @@ def _parse_word(token: str, n: int) -> int:
             part = part.strip()
             if not part.isdigit():
                 raise ValueError(f"bad entry {part!r} in {token!r}")
-            neurons.append(int(part))
+            neurons.append(part.lstrip("0") or "0")
         if len(set(neurons)) != len(neurons):
             raise ValueError(f"repeated neuron in {token!r}")
-        return mask_from_neurons(neurons, n)
+        mask = 0
+        for digits in neurons:
+            i = _small_int(digits)
+            if not 1 <= i <= n:
+                raise ValueError(f"neuron {_number_text(digits)} outside 1..{n}")
+            mask |= 1 << i - 1
+        return mask
     if _DIGITS.match(token):
         if n > 9:
             raise ValueError(
@@ -130,10 +151,10 @@ def _parse_lines(text: str, source: str) -> Code:
             m = _N_LINE.match(content)
             if not m:
                 raise ParseError(source, idx, "expected the neuron count first, as n=<k>")
-            n = int(m.group(1))
+            n = _small_int(m.group(1))
             if not 1 <= n <= MAX_NEURONS:
-                raise ParseError(
-                    source, idx, f"neuron count must be in 1..{MAX_NEURONS}, got {n}")
+                raise ParseError(source, idx, f"neuron count must be in 1..{MAX_NEURONS}, "
+                                              f"got {_number_text(m.group(1))}")
             continue
         try:
             mask = _parse_word(content, n)

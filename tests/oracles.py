@@ -395,6 +395,18 @@ def down_closure(masks, size: int) -> int:
     return bits
 
 
+def intersection_closure(masks, size: int) -> int:
+    """Bitset over the 2**size subsets: the intersections of the nonempty
+    subfamilies of ``masks``, as size + 1 down-closures. A mask is one iff
+    it lies inside some member and, for each vertex v outside it, inside
+    some member without v (those members meet in it)."""
+    masks = set(masks)
+    out = down_closure(masks, size)
+    for v, without in enumerate(_without_vertex(size)):
+        out &= ~without | down_closure((m for m in masks if not m >> v & 1), size)
+    return out
+
+
 def check_correspondences(code: Code) -> None:
     """Membership transfer and face correspondences, on one code.
 

@@ -17,6 +17,7 @@ from oracles import (
     down_closure,
     example_code,
     example_complement,
+    intersection_closure,
     oracle_complement,
     oracle_intersections,
     oracle_maximal_codewords,
@@ -285,6 +286,37 @@ class TestClosureKernels:
             expected = sum(1 << w for w in oracle_intersections(family))
             assert _intersection_closure(bits, n) == expected
             assert _down_closure(bits, n) == down_closure(family, n)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_intersection_closure_matches_reference(self, n):
+        # an n that is no power of two splits the neurons unevenly somewhere
+        rng = random.Random(4500 + n)
+        for density in (0.01, 0.1, 0.5, 0.9):
+            bits = sum(1 << w for w in range(1 << n) if rng.random() < density)
+            bits = bits or 1 << rng.getrandbits(n)
+            assert _intersection_closure(bits, n) == intersection_closure(_set_bits(bits), n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    def test_intersection_closure_edge_families(self, n):
+        full = (1 << n) - 1
+        cube = (1 << (1 << n)) - 1
+        one = 0x5A5A & full
+        cases = [(1 << one, 1 << one), (1, 1)]  # one word; the empty word alone
+        for w in {0, full, 1, full ^ 1 << n - 1}:
+            # w is the intersection of two other words iff it misses two neurons
+            less = cube ^ 1 << w
+            cases.append((less, cube if (full ^ w).bit_count() > 1 else less))
+        for bits, expected in cases:
+            assert _intersection_closure(bits, n) == expected
+            assert intersection_closure(_set_bits(bits), n) == expected
+
+    def test_intersection_closure_star_code(self):
+        # the 32,768 words holding neuron 1 are closed under intersection;
+        # without {1..14} they still meet in it ({1..15} and {1..14, 16})
+        star = sum(1 << w for w in range(1 << 16) if w & 1)
+        for bits in (star, star ^ 1 << 0x3FFF):
+            assert _intersection_closure(bits, 16) == star
+            assert intersection_closure(_set_bits(bits), 16) == star
 
 
 class TestDownwardClosure:

@@ -118,6 +118,29 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_code("n=3\n11\n")
 
+    # past 4,300 digits, leading zeros included, int() itself refuses a string
+    HUGE_NUMBERS = [
+        ("n=" + "9" * 5000 + "\n0\n", 1,
+         "neuron count must be in 1..16, got 99999999... (5000 digits)"),
+        ("n=3\n{" + "1" * 5000 + "}\n", 2, "neuron 11111111... (5000 digits) outside 1..3"),
+    ]
+
+    @pytest.mark.parametrize("text, line, message", HUGE_NUMBERS,
+                             ids=["neuron-count", "neuron-in-braces"])
+    def test_huge_numbers_are_parse_errors_with_short_messages(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_code(text, source="doc")
+        assert err.value.line == line
+        assert str(err.value) == f"doc:{line}: {message}"
+
+    def test_leading_zeros_do_not_count_as_digits(self):
+        assert parse_code("n=" + "0" * 5000 + "3\n010\n") == Code(3, {0b010})
+        assert parse_code("n=03\n{" + "0" * 5000 + "2}\n") == Code(3, {0b010})
+        with pytest.raises(ParseError, match=r":2: neuron 400 outside 1..3$"):
+            parse_code("n=3\n{1,0400}\n")
+        with pytest.raises(ParseError, match=r":1: neuron count must be in 1..16, got 0$"):
+            parse_code("n=" + "0" * 5000 + "\n")
+
     def test_bare_digits_rejected_above_nine(self):
         with pytest.raises(ParseError):
             parse_code("n=10\n23\n")
@@ -391,6 +414,16 @@ class TestCliCommands:
         assert proc.stderr == (
             b"warning: <stdin>:3: duplicate word '0' ignored\n"
             b"error: <stdin>:4: code contains every subset of [n]; proper codes required\n")
+
+    @pytest.mark.parametrize("text, line, message", TestParse.HUGE_NUMBERS,
+                             ids=["neuron-count", "neuron-in-braces"])
+    def test_huge_numbers_are_one_short_error_line(self, text, line, message):
+        proc = subprocess.run(
+            [sys.executable, "-m", "neurocode", "intervals"], input=text.encode(),
+            capture_output=True, env={**os.environ, "PYTHONPATH": "src"},
+            cwd=Path(__file__).resolve().parent.parent, check=False)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == f"error: <stdin>:{line}: {message}\n".encode()
 
     @staticmethod
     def _cli_through_file_and_stdin(tmp_path, data: bytes):
