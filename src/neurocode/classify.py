@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .codes import (Code, Interval, _clear_masks, _intersection_closure,
+from .codes import (_INTERVAL_KEY, Code, _clear_masks, _intersection_closure,
                     _member_bits, _set_bits, full_mask)
 from .complexes import (PolarFace, factor_complex, minimal_transversals, prime_sets,
                         sr_minimal_primes)
@@ -114,7 +114,7 @@ def is_intersection_complete_cf(code: Code) -> ClassificationReport:
     cf = canonical_form(code)
     t0 = _now()
     witness = None
-    for pm in sorted(cf.elements):
+    for pm in cf:  # ascending
         if pm.tau.bit_count() > 1:
             witness = PseudomonomialWitness(pm)
             break
@@ -177,7 +177,7 @@ def is_mic_algebraic(code: Code) -> ClassificationReport:
     n = code.n
     witness = None
     entries = []
-    for pm in sorted(cf.elements):
+    for pm in cf:  # ascending
         if pm.tau == 0:
             continue
         sigma = pm.sigma
@@ -337,6 +337,28 @@ def _prime_sets_by_enumeration(code: Code) -> frozenset[PolarFace]:
         and all(above[b ^ 1 << v] for v in range(n) if b >> v & 1))
 
 
+def _is_maximal_in(lo: int, hi: int, n: int, nonwords: int) -> bool:
+    """True iff [lo, hi] lies inside the code, whose non-words are the set
+    bits of ``nonwords``, and no interval one neuron wider does.
+
+    Freeing a neuron i fixed in the interval adds the members with i
+    flipped: the member bitset shifted down by 2**i when i is in lo, up
+    when i is outside hi. The interval is inside the code, so the wider
+    one is iff that shifted bitset holds no non-word.
+    """
+    members = _member_bits(lo, hi)
+    if members & nonwords:
+        return False
+    for i in range(n):
+        bit = 1 << i
+        if lo & bit:
+            if not members >> bit & nonwords:
+                return False
+        elif not hi & bit and not members << bit & nonwords:
+            return False
+    return True
+
+
 def verify_dictionary(code: Code) -> DictionaryReport:
     """Check the code/ideal/complex correspondences end to end on one code.
 
@@ -358,7 +380,10 @@ def verify_dictionary(code: Code) -> DictionaryReport:
     maximality: every reported interval lies in the code and no interval
         one neuron wider does; any strictly larger interval contains a
         one-neuron widening, so this tests maximality without the interval
-        walk. That no maximal interval is missing is alpha's test.
+        walk. Each interval's member bitset is tested against the code's
+        non-words, and each widening is that bitset shifted by 2**i, so no
+        interval is built per widening. That no maximal interval is
+        missing is alpha's test.
     gamma_delta: the minimal primes of the code complex's ideal (the
         complements of the maximal codewords) against the minimal
         transversals of the canonical form's monomial supports, and the
@@ -386,14 +411,9 @@ def verify_dictionary(code: Code) -> DictionaryReport:
         "beta", ok,
         None if ok else f"facets {sorted(fc.facets)} vs {sorted(facets)} from enumeration"))
 
-    def one_wider(iv: Interval):  # free one more neuron: drop it from lo or add it to hi
-        for i in range(code.n):
-            if not (iv.hi ^ iv.lo) >> i & 1:
-                yield Interval(iv.lo & ~(1 << i), iv.hi | 1 << i)
-
-    bad = next((iv for iv in sorted(code.maximal_intervals)
-                if not code.contains_interval(iv)
-                or any(map(code.contains_interval, one_wider(iv)))), None)
+    nonwords = code.word_bits ^ ((1 << (1 << code.n)) - 1)
+    bad = next((iv for iv in sorted(code.maximal_intervals, key=_INTERVAL_KEY)
+                if not _is_maximal_in(iv.lo, iv.hi, code.n, nonwords)), None)
     checks.append(DictionaryCheck(
         "maximality", bad is None,
         None if bad is None else f"interval [{bad.lo},{bad.hi}]"))

@@ -25,6 +25,7 @@ from .classify import (
 )
 from .codes import Code, neurons_from_mask
 from .complexes import (
+    _FACE_KEY,
     PolarFace,
     downward_closure,
     factor_complex,
@@ -32,7 +33,7 @@ from .complexes import (
     prime_sets,
     sr_minimal_primes,
 )
-from .ideals import canonical_form, primary_decomposition
+from .ideals import _PRIME_KEY, canonical_form, primary_decomposition
 from .io import ParseWarning, interval_text, monomial_prime_text, parse_code, word_text
 from .survey import summarize, survey
 
@@ -166,7 +167,7 @@ def _emit_list(args, command: str, code: Code, key: str, items,
 
 def _cmd_cf(args, code: Code) -> int:
     return _emit_list(args, "cf", code, "canonical_form",
-                      sorted(canonical_form(code).elements), _pm_json, str)
+                      list(canonical_form(code)), _pm_json, str)  # ascending
 
 
 def _cmd_intervals(args, code: Code) -> int:
@@ -178,7 +179,8 @@ def _cmd_intervals(args, code: Code) -> int:
 
 def _cmd_decompose(args, code: Code) -> int:
     return _emit_list(args, "decompose", code, "primes",
-                      sorted(primary_decomposition(code)), _prime_json, str)
+                      sorted(primary_decomposition(code), key=_PRIME_KEY), _prime_json,
+                      str)
 
 
 def _cmd_complexes(args, code: Code) -> int:
@@ -198,7 +200,7 @@ def _cmd_complexes(args, code: Code) -> int:
          lambda f: word_text(f, n)),
         ("factor_facets", factor, face_json, face_text),
         ("polar_facets", polar, face_json, face_text),
-        ("minimal_prime_sets", sorted(prime_sets(code)), _face_json, str),
+        ("minimal_prime_sets", sorted(prime_sets(code), key=_FACE_KEY), _face_json, str),
         ("sr_minimal_primes", sorted(sr_minimal_primes(code)), _mask_json,
          monomial_prime_text),
     )

@@ -9,6 +9,7 @@ mask containment tests against a facet antichain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 from .codes import (
@@ -54,6 +55,10 @@ class PolarFace:
         if (self.xpart | self.ypart) >> 9 == 0:  # neurons 1-9 only
             return "".join(xs) + "".join(f"~{j}" for j in ys)
         return "{" + ",".join(xs) + "}~{" + ",".join(ys) + "}"
+
+
+# Sort key in field order, as codes._INTERVAL_KEY.
+_FACE_KEY = attrgetter("xpart", "ypart")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ arithmetic is ever performed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .codes import (
     _is_antichain,
@@ -60,6 +61,11 @@ class Pseudomonomial:
         return "*".join(factors) if factors else "1"
 
 
+# Sort keys in field order, as codes._INTERVAL_KEY.
+_PM_KEY = attrgetter("sigma", "tau")
+_PRIME_KEY = attrgetter("pos", "neg")
+
+
 @dataclass(frozen=True, order=True)
 class PrimePseudomonomialIdeal:
     """Prime pseudomonomial ideal <x_i : i in pos> + <1 - x_j : j in neg>."""
@@ -106,7 +112,7 @@ class CanonicalForm:
         return frozenset(p for p in self.elements if p.tau == 0)
 
     def __iter__(self):
-        return iter(sorted(self.elements))
+        return iter(sorted(self.elements, key=_PM_KEY))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -154,7 +160,8 @@ def in_neural_ideal(pm: Pseudomonomial, code: Code) -> bool:
 @_memo
 def canonical_form(code: Code) -> CanonicalForm:
     """Canonical form of the neural ideal: the image of the complement's
-    maximal intervals under ``interval_to_pm`` (the paper's alpha map).
+    maximal intervals under the paper's alpha map (``interval_to_pm``,
+    written inline: sigma = lo, tau = [n] - hi).
 
     A pseudomonomial lies in the ideal iff its interval [sigma, [n] - tau]
     holds no codeword, i.e. lies inside the complement; divisibility
@@ -164,8 +171,9 @@ def canonical_form(code: Code) -> CanonicalForm:
     """
     n = code.n
     _check_cap(n)
+    full = full_mask(n)
     return CanonicalForm(n, frozenset(
-        interval_to_pm(iv, n) for iv in code.complement.maximal_intervals))
+        Pseudomonomial(iv.lo, full ^ iv.hi) for iv in code.complement.maximal_intervals))
 
 
 def primary_decomposition(code: Code) -> frozenset[PrimePseudomonomialIdeal]:

@@ -60,6 +60,11 @@ def _number_text(digits: str) -> str:
     return digits if len(digits) <= 20 else f"{digits[:8]}... ({len(digits)} digits)"
 
 
+def _token_text(token: str) -> str:
+    """A token for a message, quoted, and cut short past 64 characters."""
+    return repr(token) if len(token) <= 64 else f"{token[:24]!r}... ({len(token)} characters)"
+
+
 def _parse_word(token: str, n: int) -> int:
     if len(token) == n and _BINARY.match(token):
         return int(token[::-1], 2)  # character k is neuron k + 1, bit k
@@ -72,10 +77,10 @@ def _parse_word(token: str, n: int) -> int:
         for part in body.split(","):
             part = part.strip()
             if not part.isdigit():
-                raise ValueError(f"bad entry {part!r} in {token!r}")
+                raise ValueError(f"bad entry {_token_text(part)} in {_token_text(token)}")
             neurons.append(part.lstrip("0") or "0")
         if len(set(neurons)) != len(neurons):
-            raise ValueError(f"repeated neuron in {token!r}")
+            raise ValueError(f"repeated neuron in {_token_text(token)}")
         mask = 0
         for digits in neurons:
             i = _small_int(digits)
@@ -92,12 +97,12 @@ def _parse_word(token: str, n: int) -> int:
         digits = [int(ch) for ch in token]
         if 0 in digits:
             raise ValueError(
-                f"neuron 0 does not exist in {token!r} "
+                f"neuron 0 does not exist in {_token_text(token)} "
                 f"(binary words must have exactly {n} characters)")
         if len(set(digits)) != len(digits):
-            raise ValueError(f"repeated neuron in {token!r}")
+            raise ValueError(f"repeated neuron in {_token_text(token)}")
         return mask_from_neurons(digits, n)
-    raise ValueError(f"cannot parse word {token!r}")
+    raise ValueError(f"cannot parse word {_token_text(token)}")
 
 
 def parse_code(text: str, source: str = "<input>") -> Code:
@@ -169,7 +174,8 @@ def _parse_lines(text: str, source: str) -> Code:
     if n is None:
         raise ParseError(source, max(len(lines), 1), "empty document; expected n=<k>")
     for line, literal in duplicates:
-        warnings.warn(ParseWarning(f"{source}:{line}: duplicate word {literal!r} ignored"))
+        warnings.warn(ParseWarning(
+            f"{source}:{line}: duplicate word {_token_text(literal)} ignored"))
     if full_line is not None:
         raise ParseError(
             source, full_line, "code contains every subset of [n]; proper codes required")

@@ -341,6 +341,21 @@ def check_method_agreement(code: Code) -> tuple[bool, bool]:
     return ic["brute"].verdict, mic["brute"].verdict
 
 
+def first_unmaximal_interval(code: Code) -> Interval | None:
+    """verify's maximality leg, one ``Interval`` per widening: the first
+    reported interval, in sorted order, that is not inside the code or
+    that has an interval one neuron wider inside it, each tested with
+    ``Code.contains_interval``."""
+    def one_wider(iv: Interval):  # free one more neuron: drop it from lo or add it to hi
+        for i in range(code.n):
+            if not (iv.hi ^ iv.lo) >> i & 1:
+                yield Interval(iv.lo & ~(1 << i), iv.hi | 1 << i)
+
+    return next((iv for iv in sorted(code.maximal_intervals)
+                 if not code.contains_interval(iv)
+                 or any(map(code.contains_interval, one_wider(iv)))), None)
+
+
 def minimal_members(masks: list[int]) -> list[int]:
     """The masks of a family of distinct masks that contain no other one:
     the complements of the maximal members of the complements."""
@@ -372,16 +387,38 @@ def all_prime_sets(code: Code) -> set[int]:
     return {b for b in range(1 << code.n) if not is_face(fc, full | b << code.n)}
 
 
+# The first byte of the cube's subsets without vertex 0, 1 and 2.
+_LOW_WITHOUT = (0b01010101, 0b00110011, 0b00001111)
+
+
 @lru_cache(maxsize=None)
 def _without_vertex(size: int) -> tuple[int, ...]:
-    """Bitsets over the 2**size subsets: entry v marks those without vertex v."""
-    return tuple(sum(1 << s for s in range(1 << size) if not s >> v & 1)
-                 for v in range(size))
+    """Bitsets over the 2**size subsets: entry v marks those without vertex v.
+
+    Each is one repeated byte pattern: a vertex v < 3 repeats one byte, and
+    v >= 3 repeats 2**(v - 3) 0xff bytes followed by as many zero bytes.
+    """
+    nbytes = max(1, (1 << size) >> 3)
+    out = []
+    for v in range(size):
+        half = 1 << v >> 3
+        block = bytes([_LOW_WITHOUT[v]]) if v < 3 else b"\xff" * half + bytes(half)
+        data = block * (nbytes // len(block))
+        out.append(int.from_bytes(data, "little") & (1 << (1 << size)) - 1)
+    return tuple(out)
+
+
+def _bitset(masks, size: int) -> int:
+    """Bitset over the 2**size subsets: the masks, marked in a bytearray."""
+    marks = bytearray(max(1, (1 << size) >> 3))
+    for m in masks:
+        marks[m >> 3] |= 1 << (m & 7)
+    return int.from_bytes(marks, "little")
 
 
 def up_closure(masks, size: int) -> int:
     """Bitset over the 2**size subsets: those containing some mask."""
-    bits = sum(1 << m for m in set(masks))
+    bits = _bitset(masks, size)
     for v, without in enumerate(_without_vertex(size)):
         bits |= (bits & without) << (1 << v)
     return bits
@@ -389,7 +426,7 @@ def up_closure(masks, size: int) -> int:
 
 def down_closure(masks, size: int) -> int:
     """Bitset over the 2**size subsets: those inside some mask."""
-    bits = sum(1 << m for m in set(masks))
+    bits = _bitset(masks, size)
     for v, without in enumerate(_without_vertex(size)):
         bits |= (bits & ~without) >> (1 << v)
     return bits

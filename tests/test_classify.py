@@ -35,6 +35,7 @@ from oracles import (
     check_method_agreement,
     example_code,
     example_complement,
+    first_unmaximal_interval,
     mic_facets_single_set,
     near_closed_codes,
     oracle_canonical_form,
@@ -387,6 +388,76 @@ class TestVerifyDictionary:
             assert not checks["maximality"].passed
             assert not checks["beta"].passed
             assert not report.passed
+
+    def test_maximality_fails_when_the_kernel_widens_an_interval_past_the_code(self):
+        # a one-neuron widening of a maximal interval holds a non-word, so the
+        # reported interval itself is not inside the code
+        for code in random_codes(6, 12, seed=4620):
+            miv = code.maximal_intervals
+            iv = min(miv)
+            fixed = (iv.hi ^ iv.lo) ^ ((1 << code.n) - 1)  # nonempty: the code is proper
+            bit = fixed & -fixed
+            wide = Interval(iv.lo & ~bit, iv.hi | bit)
+            self.report_intervals(code, miv - {iv} | {wide})
+            maximality = next(c for c in verify_dictionary(code).checks
+                              if c.name == "maximality")
+            assert not maximality.passed
+            assert maximality.detail == f"interval [{wide.lo},{wide.hi}]"
+
+    @staticmethod
+    def report_intervals(code, intervals):
+        """Make the interval kernel report ``intervals`` for ``code`` once the
+        canonical form and the factor complex are memoized from the true ones,
+        so that only the maximality leg reads them."""
+        canonical_form(code.complement)
+        factor_complex(code)
+        code.__dict__["maximal_intervals"] = frozenset(intervals)
+
+    @staticmethod
+    def mutated_interval_sets(code):
+        """The reported intervals narrowed (one neuron fixed), dropped and
+        widened past the code (one neuron freed), one interval at a time,
+        then the last three intervals narrowed or widened all at once."""
+        miv = code.maximal_intervals
+        full = (1 << code.n) - 1
+        together = set(miv)
+        for k, iv in enumerate(sorted(miv)[-3:]):
+            yield miv - {iv}
+            free, fixed = iv.hi ^ iv.lo, full ^ (iv.hi ^ iv.lo)
+            if free:
+                bit = free & -free
+                yield miv - {iv} | {Interval(iv.lo | bit, iv.hi)}
+                yield miv - {iv} | {Interval(iv.lo, iv.hi ^ bit)}
+            if fixed:
+                bit = 1 << fixed.bit_length() - 1
+                yield miv - {iv} | {Interval(iv.lo & ~bit, iv.hi | bit)}
+            together.discard(iv)
+            if fixed and (k % 2 or not free):
+                together.add(Interval(iv.lo & ~bit, iv.hi | bit))
+            elif free:
+                together.add(Interval(iv.lo, iv.hi ^ (free & -free)))
+        yield together
+
+    @staticmethod
+    def maximality_agrees_with_reference(code) -> bool:
+        check = next(c for c in verify_dictionary(code).checks if c.name == "maximality")
+        bad = first_unmaximal_interval(code)
+        assert check.passed == (bad is None)
+        assert check.detail == (None if bad is None else f"interval [{bad.lo},{bad.hi}]")
+        return check.passed
+
+    def test_maximality_matches_its_reference(self):
+        # the shifted member bitsets against one Interval and one
+        # contains_interval per widening, on true and on mutated intervals
+        outcomes = set()
+        for n in range(1, 11):
+            for code in random_codes(n, 3, seed=4630 + n):
+                outcomes.add(self.maximality_agrees_with_reference(code))
+                for mutated in self.mutated_interval_sets(code):
+                    copy = Code(code.n, code.words)
+                    self.report_intervals(copy, mutated)
+                    outcomes.add(self.maximality_agrees_with_reference(copy))
+        assert outcomes == {True, False}
 
     def test_beta_fails_when_the_factor_complex_drops_a_facet(self):
         # beta compares the memoized factor complex with the facet image of

@@ -13,6 +13,8 @@ from neurocode.codes import (_code_from_bits, _down_closure, _intersection_closu
 from oracles import (
     EXAMPLE_COMPLEMENT_WORDS,
     EXAMPLE_WORDS,
+    _bitset,
+    _without_vertex,
     all_codes,
     down_closure,
     example_code,
@@ -317,6 +319,22 @@ class TestClosureKernels:
         for bits in (star, star ^ 1 << 0x3FFF):
             assert _intersection_closure(bits, 16) == star
             assert intersection_closure(_set_bits(bits), 16) == star
+
+
+class TestOracleBitsets:
+    """The oracles' byte-built bitsets against the per-subset sums they replaced."""
+
+    @pytest.mark.parametrize("size", range(11))
+    def test_without_vertex(self, size):
+        assert _without_vertex(size) == tuple(
+            sum(1 << s for s in range(1 << size) if not s >> v & 1) for v in range(size))
+
+    @pytest.mark.parametrize("size", range(11))
+    def test_bitset(self, size):
+        rng = random.Random(4900 + size)
+        for count in (0, 1, 2, 7, 1 << size):
+            masks = [rng.randrange(1 << size) for _ in range(count)]
+            assert _bitset(masks, size) == sum(1 << m for m in set(masks))
 
 
 class TestDownwardClosure:

@@ -27,7 +27,9 @@ from neurocode import (
     prime_sets,
     sr_minimal_primes,
 )
-from neurocode.codes import _maximal_members
+from neurocode.codes import _INTERVAL_KEY, _is_antichain, _maximal_members
+from neurocode.complexes import _FACE_KEY
+from neurocode.ideals import _PM_KEY, _PRIME_KEY, PrimePseudomonomialIdeal
 
 from oracles import (
     all_codes,
@@ -427,6 +429,99 @@ class TestAntichainChecks:
                     CanonicalForm(n, fam)
             else:
                 assert CanonicalForm(n, fam).elements == fam
+
+
+def _antichain_of(rng, size: int, width: int) -> list[int]:
+    """``size`` distinct masks of ``width // 2`` vertices each: an antichain."""
+    out: set[int] = set()
+    while len(out) < size:
+        out.add(sum(1 << v for v in rng.sample(range(width), width // 2)))
+    return sorted(out)
+
+
+class TestAntichainColumns:
+    """``_is_antichain`` on both sides of its 32-member rule, against the
+    minimal members of ``tests/oracles.py``."""
+
+    SIZES = [0, 1, 2, 5, 31, 32, 33, 64, 200, 1000, 2000]
+
+    @staticmethod
+    def expected(masks) -> bool:
+        return len(minimal_members(masks)) == len(masks)
+
+    @pytest.mark.parametrize("width", [8, 20, 32])
+    def test_random_families(self, width):
+        rng = random.Random(9600 + width)
+        outcomes = set()
+        for size in self.SIZES:
+            for _ in range(3):
+                masks = list({rng.getrandbits(width) for _ in range(size)})
+                sparse = list({rng.getrandbits(width) & rng.getrandbits(width)
+                               & rng.getrandbits(width) for _ in range(size)})
+                for family in (masks, sparse):
+                    outcomes.add((len(family) >= 32, _is_antichain(family)))
+                    assert _is_antichain(family) == self.expected(family)
+        # (size >= 32, antichain); large antichains come from the test below
+        assert {(False, False), (False, True), (True, False)} <= outcomes
+
+    @pytest.mark.parametrize("width", [8, 20, 32])
+    def test_only_comparable_pair_last(self, width):
+        # an antichain, then one member and a mask one vertex below or above
+        # it that no other member is comparable with, placed last
+        rng = random.Random(9700 + width)
+        for size in self.SIZES[2:]:
+            if size > 40 and width == 8:
+                continue  # C(8, 4) = 70 masks of four vertices
+            family = _antichain_of(rng, size - 1, width)
+            assert _is_antichain(family) and self.expected(family)
+            tested = 0
+            for member in family:
+                others = [m for m in family if m != member]
+                below = member & (member - 1)  # the lowest vertex dropped
+                above = member | ~member & (member + 1)  # the lowest vertex outside added
+                for extra in (below, above):
+                    if not any(extra & ~m == 0 or m & ~extra == 0 for m in others):
+                        masks = others + [member, extra]
+                        assert not _is_antichain(masks)
+                        assert not self.expected(masks)
+                        assert _is_antichain(others + [extra])
+                        tested += 1
+                if tested >= 2:
+                    break
+            assert tested
+
+    def test_empty_mask_in_a_large_family(self):
+        masks = [0] + [1 << v for v in range(40)]
+        assert not _is_antichain(masks)
+        assert _is_antichain(masks[1:])
+
+
+class TestSortKeys:
+    """The attrgetter keys sort like the generated ``__lt__``."""
+
+    @staticmethod
+    def disjoint(rng, bits):
+        support = rng.getrandbits(bits)
+        first = rng.getrandbits(bits) & support
+        return first, support ^ first
+
+    @pytest.mark.parametrize("bits", [1, 4, 16])
+    def test_keys_sort_like_the_dataclasses(self, bits):
+        rng = random.Random(9800 + bits)
+        pairs = [self.disjoint(rng, bits) for _ in range(500)]
+        first = pairs[0][0]
+        pairs += [(first, b & ~first) for _, b in pairs[:50]]  # ties on the first field
+        cases = [
+            ([Interval(a, a | b) for a, b in pairs], _INTERVAL_KEY),
+            ([Pseudomonomial(a, b) for a, b in pairs], _PM_KEY),
+            ([PrimePseudomonomialIdeal(a, b) for a, b in pairs], _PRIME_KEY),
+            ([PolarFace(rng.getrandbits(bits), rng.getrandbits(bits)) for _ in pairs]
+             + [PolarFace(a, b) for a, b in pairs], _FACE_KEY),
+        ]
+        for items, key in cases:
+            items = list(set(items))
+            rng.shuffle(items)
+            assert sorted(items, key=key) == sorted(items)
 
 
 class TestCorrespondenceSuite:

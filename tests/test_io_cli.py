@@ -133,6 +133,43 @@ class TestParse:
         assert err.value.line == line
         assert str(err.value) == f"doc:{line}: {message}"
 
+    LONG_TOKENS = [
+        ("n=3\n" + "x" * 5000, "cannot parse word 'xxxxxxxxxxxxxxxxxxxxxxxx'... (5000 characters)"),
+        ("n=3\n{" + ",".join(["1"] * 3000) + "}\n",
+         "repeated neuron in '{1,1,1,1,1,1,1,1,1,1,1,1'... (6001 characters)"),
+        ("n=3\n{1,," + " " * 100 + "}\n",
+         "bad entry '' in '{1,,                    '... (105 characters)"),
+        ("n=3\n{1,2 " + "3" * 70 + "}\n",
+         "bad entry '2 3333333333333333333333'... (72 characters) in "
+         "'{1,2 3333333333333333333'... (76 characters)"),
+        ("n=9\n1" + "2" * 70 + "0\n",
+         "neuron 0 does not exist in '122222222222222222222222'... (72 characters) "
+         "(binary words must have exactly 9 characters)"),
+    ]
+
+    @pytest.mark.parametrize("text, message", LONG_TOKENS,
+                             ids=["cannot-parse", "repeated-neuron", "bad-entry",
+                                  "bad-entry-long-part", "neuron-0"])
+    def test_long_tokens_are_cut_short_in_messages(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_code(text, source="doc")
+        assert str(err.value) == f"doc:2: {message}"
+
+    def test_tokens_up_to_64_characters_are_quoted_whole(self):
+        for spaces, message in [
+                (57, "cannot parse word '{1,2," + " " * 57 + "x}'"),
+                (58, "cannot parse word '{1,2,                   '... (65 characters)")]:
+            with pytest.raises(ParseError) as err:
+                parse_code("n=3\n{1,2," + " " * spaces + "x}\n", source="doc")
+            assert str(err.value) == f"doc:2: {message}"
+
+    def test_long_duplicate_words_are_cut_short_in_warnings(self):
+        word = "{1," + " " * 100 + "2}"
+        with pytest.warns(ParseWarning) as caught:
+            assert parse_code(f"n=2\n{{1,2}}\n{word}\n") == Code(2, {0b11})
+        assert str(caught[0].message) == (
+            "<input>:3: duplicate word '{1,                     '... (105 characters) ignored")
+
     def test_leading_zeros_do_not_count_as_digits(self):
         assert parse_code("n=" + "0" * 5000 + "3\n010\n") == Code(3, {0b010})
         assert parse_code("n=03\n{" + "0" * 5000 + "2}\n") == Code(3, {0b010})
