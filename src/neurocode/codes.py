@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
-from itertools import repeat
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -221,36 +220,8 @@ def _maximal_members(masks: list[int]) -> list[int]:
 
 
 def _is_antichain(masks: list[int]) -> bool:
-    """True iff no mask of the family of distinct masks lies inside another.
-
-    From 32 members up, each vertex's holders are a column of one
-    fixed-width binary rendering of the family: row j holds masks[j], so a
-    stride slice of the text, read as binary, has bit m - 1 - j set iff
-    masks[j] holds the vertex. A member lies inside no other one iff the
-    AND of its vertices' columns is its own bit; the first member that
-    fails ends the test. Rendering costs a few microseconds at any size,
-    more than ``_maximal_members``' holders loop spends on a few members.
-    """
-    m = len(masks)
-    if m < 32:
-        return len(_maximal_members(masks)) == m
-    width = max(masks).bit_length()
-    text = "".join(map(format, masks, repeat(f"0{width}b")))
-    columns = [int(text[width - 1 - v::width], 2) for v in range(width)]
-    everyone = (1 << m) - 1
-    own = 1 << m
-    for x in masks:
-        own >>= 1
-        above = everyone  # every member contains the empty mask
-        while x:
-            low = x & -x
-            x ^= low
-            above &= columns[low.bit_length() - 1]
-            if above == own:
-                break
-        else:
-            return False
-    return True
+    """True iff no mask of the family of distinct masks lies inside another."""
+    return len(_maximal_members(masks)) == len(masks)
 
 
 @dataclass(frozen=True, order=True)
@@ -400,15 +371,12 @@ class Code:
         return frozenset(out)
 
 
-def _trusted_code(n: int, words: frozenset[int]) -> Code:
-    """A code built without ``Code.__post_init__``'s word-by-word checks.
-
-    The caller vouches for all of them: n is an int in 1..MAX_NEURONS,
-    every word fits n neurons, and the words are nonempty and proper.
-    """
-    code = object.__new__(Code)
-    code.__dict__.update(n=n, words=words)
-    return code
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with normalized ``fields``,
+    built without the ``__post_init__`` checks that the caller vouches for."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _code_from_bits(n: int, bits: int) -> Code:
@@ -423,6 +391,4 @@ def _code_from_bits(n: int, bits: int) -> Code:
     if not 0 < bits < (1 << (1 << n)) - 1:
         raise InvalidCodeError(
             f"a word bitset on {n} neurons must be in 1..2**{1 << n} - 2")
-    code = _trusted_code(n, frozenset(_set_bits(bits)))
-    code.__dict__["word_bits"] = bits
-    return code
+    return _trusted(Code, n=n, words=frozenset(_set_bits(bits)), word_bits=bits)

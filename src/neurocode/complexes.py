@@ -16,6 +16,7 @@ from .codes import (
     _is_antichain,
     _memo,
     _neuron_names,
+    _trusted,
     Code,
     Interval,
     full_mask,
@@ -81,8 +82,9 @@ class Universe:
 class SimplicialComplex:
     """A complex stored by its facets over a declared universe.
 
-    A mask is a face exactly when some facet contains it; the facets must
-    form an antichain.
+    A mask is a face exactly when some facet contains it. The public
+    constructor checks that the facets fit the universe and form an
+    antichain; this module's kernels build theirs through ``codes._trusted``.
     """
 
     universe: Universe
@@ -107,7 +109,12 @@ class SimplicialComplex:
 
 @dataclass(frozen=True)
 class SquarefreeMonomialIdeal:
-    """Squarefree monomial ideal, held as its minimal generator supports."""
+    """Squarefree monomial ideal, held as its minimal generator supports.
+
+    The public constructor checks that they are nonempty, fit the universe
+    and form an antichain; this module's kernels build theirs through
+    ``codes._trusted``.
+    """
 
     universe: Universe
     generators: frozenset[int]
@@ -168,7 +175,9 @@ def downward_closure(code: Code) -> SimplicialComplex:
 
     Its facets are the maximal codewords.
     """
-    return SimplicialComplex(Universe(code.n, polar=False), code.maximal_codewords)
+    # maximal codewords on n neurons: an antichain
+    return _trusted(SimplicialComplex, universe=Universe(code.n, polar=False),
+                    facets=code.maximal_codewords)
 
 
 @_memo
@@ -176,8 +185,10 @@ def polar_ideal(code: Code) -> SquarefreeMonomialIdeal:
     """Polarization of the neural ideal: the polarized canonical form, an
     antichain already (divisibility is containment of sigma | tau << n)."""
     n = code.n
-    return SquarefreeMonomialIdeal(Universe(n, polar=True), frozenset(
-        pm.sigma | pm.tau << n for pm in canonical_form(code).elements))
+    # the canonical form on 2n vertices; the unit is not in it, as the code is nonempty
+    return _trusted(SquarefreeMonomialIdeal, universe=Universe(n, polar=True),
+                    generators=frozenset(pm.sigma | pm.tau << n
+                                         for pm in canonical_form(code).elements))
 
 
 @_memo
@@ -190,8 +201,9 @@ def factor_ideal(code: Code) -> SquarefreeMonomialIdeal:
     """
     n = code.n
     prime_vars = [p.pos | p.neg << n for p in primary_decomposition(code)]
-    return SquarefreeMonomialIdeal(
-        Universe(n, polar=True), minimal_transversals(prime_vars))
+    # minimal transversals of at least one edge on 2n vertices: an antichain, none empty
+    return _trusted(SquarefreeMonomialIdeal, universe=Universe(n, polar=True),
+                    generators=minimal_transversals(prime_vars))
 
 
 def complex_of_ideal(ideal: SquarefreeMonomialIdeal) -> SimplicialComplex:
@@ -201,7 +213,8 @@ def complex_of_ideal(ideal: SquarefreeMonomialIdeal) -> SimplicialComplex:
     hypergraph; the zero ideal gives the full simplex.
     """
     full = ideal.universe.full
-    return SimplicialComplex(ideal.universe, frozenset(
+    # complements in the universe of minimal transversals: an antichain
+    return _trusted(SimplicialComplex, universe=ideal.universe, facets=frozenset(
         full & ~t for t in minimal_transversals(ideal.generators)))
 
 
@@ -215,8 +228,9 @@ def ideal_of_complex(cx: SimplicialComplex) -> SquarefreeMonomialIdeal:
         raise ValueError("the void complex has the unit ideal as its Stanley-Reisner "
                          "ideal, which a SquarefreeMonomialIdeal cannot hold")
     full = cx.universe.full
-    return SquarefreeMonomialIdeal(cx.universe, minimal_transversals(
-        full & ~f for f in cx.facets))
+    # minimal transversals of at least one edge in the universe: an antichain, none empty
+    return _trusted(SquarefreeMonomialIdeal, universe=cx.universe,
+                    generators=minimal_transversals(full & ~f for f in cx.facets))
 
 
 @_memo
@@ -231,7 +245,8 @@ def factor_complex(code: Code) -> SimplicialComplex:
     n = code.n
     _check_cap(n)
     full = full_mask(n)
-    return SimplicialComplex(Universe(n, polar=True), frozenset(
+    # maximal intervals on n neurons, none inside another: an antichain on 2n vertices
+    return _trusted(SimplicialComplex, universe=Universe(n, polar=True), facets=frozenset(
         iv.hi | (full & ~iv.lo) << n for iv in code.maximal_intervals))
 
 

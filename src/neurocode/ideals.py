@@ -17,6 +17,7 @@ from .codes import (
     _member_bits,
     _memo,
     _neuron_names,
+    _trusted,
     Code,
     Interval,
     full_mask,
@@ -32,7 +33,10 @@ class CapExceededError(ValueError):
 
 def _check_cap(n: int) -> None:
     """Refuse n above CF_MAX_N; ``canonical_form``, ``factor_complex`` and
-    ``polar_complex`` call this first."""
+    ``polar_complex`` call this first. Above it, the canonical form can hold
+    hundreds of thousands of dataclasses to build and sort, and verify's
+    alpha reference needs 2**(2n)-bit integers. The pinned message still
+    blames the antichain check, which only the public constructors run."""
     if n > CF_MAX_N:
         raise CapExceededError(
             f"n={n} exceeds the cap of {CF_MAX_N} on the canonical form and the "
@@ -89,7 +93,11 @@ class PrimePseudomonomialIdeal:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """The divisibility-minimal pseudomonomials of a neural ideal."""
+    """The divisibility-minimal pseudomonomials of a neural ideal.
+
+    The public constructor checks that they fit n neurons and form an
+    antichain; ``canonical_form`` builds its own through ``codes._trusted``.
+    """
 
     n: int
     elements: frozenset[Pseudomonomial]
@@ -172,7 +180,8 @@ def canonical_form(code: Code) -> CanonicalForm:
     n = code.n
     _check_cap(n)
     full = full_mask(n)
-    return CanonicalForm(n, frozenset(
+    # maximal intervals on n neurons, none inside another: no element divides another
+    return _trusted(CanonicalForm, n=n, elements=frozenset(
         Pseudomonomial(iv.lo, full ^ iv.hi) for iv in code.complement.maximal_intervals))
 
 

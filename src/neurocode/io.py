@@ -18,7 +18,7 @@ import re
 import warnings
 from itertools import repeat
 
-from .codes import (MAX_NEURONS, Code, Interval, _neuron_names, _trusted_code,
+from .codes import (MAX_NEURONS, Code, Interval, _neuron_names, _trusted,
                     mask_from_neurons)
 
 
@@ -125,7 +125,7 @@ def parse_code(text: str, source: str = "<input>") -> Code:
         if 1 <= n <= MAX_NEURONS and set(map(len, lines)) == {n}:
             words = frozenset(map(int, lines, repeat(2)))
             if len(words) == len(lines) < 1 << n:  # no duplicate, not full
-                return _trusted_code(n, words)
+                return _trusted(Code, n=n, words=words)
     return _parse_lines(text, source)
 
 
@@ -182,7 +182,7 @@ def _parse_lines(text: str, source: str) -> Code:
     if not seen:
         raise ParseError(source, max(len(lines), 1),
                          "no codewords given; nonempty codes required")
-    return _trusted_code(n, frozenset(seen))
+    return _trusted(Code, n=n, words=frozenset(seen))
 
 
 def render_code_document(code: Code) -> str:

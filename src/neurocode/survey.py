@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .classify import _IC_METHODS, _MIC_METHODS
-from .codes import Code, _check_neuron_count, _code_from_bits
+from .codes import Code, _code_from_bits
 from .ideals import canonical_form
 
 SURVEY_MAX_N = 4
@@ -52,13 +52,9 @@ def code_from_id(n: int, code_id: int) -> Code:
     marks word w as present.
 
     Ids run from 1 to 2**(2**n) - 2 (the empty and full word sets are not
-    codes); n is checked first, and an id outside that range is refused.
-    The code is built from the bitset, so its words are not checked again
-    one by one.
+    codes). ``_code_from_bits`` checks n first, then refuses an id outside
+    that range, and does not check the words again one by one.
     """
-    _check_neuron_count(n)
-    if not 1 <= code_id <= (1 << (1 << n)) - 2:
-        raise ValueError(f"a code id on n={n} neurons must be in 1..2**{1 << n} - 2")
     return _code_from_bits(n, code_id)
 
 

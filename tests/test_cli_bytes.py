@@ -118,6 +118,30 @@ def test_cli_bytes(name, recorded):
     assert _digest(CASES[name]) == recorded[name]
 
 
+def test_kernels_skip_the_antichain_check(monkeypatch, recorded):
+    """With ``_is_antichain`` raising wherever ``complexes`` and ``ideals``
+    call it, every command, text and JSON, still prints its usual bytes on
+    the n = 8 documents, and the survey on n = 2 and 3: the kernels build
+    their artifacts without the public constructors' checks. The
+    ``complexes`` command is pinned only up to n = 6, so its n = 8 bytes
+    come from a run without the patch."""
+    cases = {name: CASES[name] for name in CASES
+             if name.endswith(" n=8") or name.startswith("survey ")}
+    expected = {name: recorded[name] for name in cases}
+    docs = [text for _, text in cases["cf text n=8"]]
+    for name, argv in (("complexes text n=8", ["complexes"]),
+                       ("complexes json n=8", ["complexes", "--json"])):
+        cases[name] = [(argv, d) for d in docs]
+        expected[name] = _digest(cases[name])
+
+    def refuse(masks):
+        raise AssertionError("a kernel ran the antichain check")
+    for module in ("neurocode.complexes", "neurocode.ideals"):
+        monkeypatch.setattr(f"{module}._is_antichain", refuse)
+    for name, invocations in cases.items():
+        assert _digest(invocations) == expected[name], name
+
+
 def record(repin: list[str]) -> None:
     """Record the missing digests and those of the ``repin`` cases."""
     unknown = sorted(set(repin) - set(CASES))

@@ -27,7 +27,7 @@ from neurocode import (
     prime_sets,
     sr_minimal_primes,
 )
-from neurocode.codes import _INTERVAL_KEY, _is_antichain, _maximal_members
+from neurocode.codes import _INTERVAL_KEY, _maximal_members
 from neurocode.complexes import _FACE_KEY
 from neurocode.ideals import _PM_KEY, _PRIME_KEY, PrimePseudomonomialIdeal
 
@@ -440,14 +440,36 @@ def _antichain_of(rng, size: int, width: int) -> list[int]:
 
 
 class TestAntichainColumns:
-    """``_is_antichain`` on both sides of its 32-member rule, against the
-    minimal members of ``tests/oracles.py``."""
+    """The public ``SimplicialComplex`` and ``SquarefreeMonomialIdeal``
+    antichain checks on families of up to 2,000 masks over 8 to 40
+    vertices, against the minimal members of ``tests/oracles.py``."""
 
     SIZES = [0, 1, 2, 5, 31, 32, 33, 64, 200, 1000, 2000]
 
     @staticmethod
     def expected(masks) -> bool:
         return len(minimal_members(masks)) == len(masks)
+
+    @staticmethod
+    def accepts(constructor, width: int, masks) -> bool:
+        """Whether the constructor takes the masks; it may refuse them only
+        for not forming an antichain."""
+        try:
+            constructor(Universe(width // 2, polar=True), frozenset(masks))
+        except ValueError as err:
+            assert "antichain" in str(err)
+            return False
+        return True
+
+    def check(self, width: int, family) -> bool:
+        """Both constructors' verdicts against the minimal members, the
+        ideal's on the family without the empty mask (never a generator);
+        returns the complex's verdict."""
+        gens = [m for m in family if m]
+        assert self.accepts(SquarefreeMonomialIdeal, width, gens) == self.expected(gens)
+        verdict = self.accepts(SimplicialComplex, width, family)
+        assert verdict == self.expected(family)
+        return verdict
 
     @pytest.mark.parametrize("width", [8, 20, 32])
     def test_random_families(self, width):
@@ -459,10 +481,8 @@ class TestAntichainColumns:
                 sparse = list({rng.getrandbits(width) & rng.getrandbits(width)
                                & rng.getrandbits(width) for _ in range(size)})
                 for family in (masks, sparse):
-                    outcomes.add((len(family) >= 32, _is_antichain(family)))
-                    assert _is_antichain(family) == self.expected(family)
-        # (size >= 32, antichain); large antichains come from the test below
-        assert {(False, False), (False, True), (True, False)} <= outcomes
+                    outcomes.add(self.check(width, family))
+        assert outcomes == {False, True}
 
     @pytest.mark.parametrize("width", [8, 20, 32])
     def test_only_comparable_pair_last(self, width):
@@ -473,7 +493,7 @@ class TestAntichainColumns:
             if size > 40 and width == 8:
                 continue  # C(8, 4) = 70 masks of four vertices
             family = _antichain_of(rng, size - 1, width)
-            assert _is_antichain(family) and self.expected(family)
+            assert self.check(width, family)
             tested = 0
             for member in family:
                 others = [m for m in family if m != member]
@@ -481,10 +501,8 @@ class TestAntichainColumns:
                 above = member | ~member & (member + 1)  # the lowest vertex outside added
                 for extra in (below, above):
                     if not any(extra & ~m == 0 or m & ~extra == 0 for m in others):
-                        masks = others + [member, extra]
-                        assert not _is_antichain(masks)
-                        assert not self.expected(masks)
-                        assert _is_antichain(others + [extra])
+                        assert not self.check(width, others + [member, extra])
+                        assert self.check(width, others + [extra])
                         tested += 1
                 if tested >= 2:
                     break
@@ -492,8 +510,8 @@ class TestAntichainColumns:
 
     def test_empty_mask_in_a_large_family(self):
         masks = [0] + [1 << v for v in range(40)]
-        assert not _is_antichain(masks)
-        assert _is_antichain(masks[1:])
+        assert not self.check(40, masks)
+        assert self.check(40, masks[1:])
 
 
 class TestSortKeys:
