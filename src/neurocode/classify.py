@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import compress
 
 from .codes import (_INTERVAL_KEY, Code, _clear_masks, _intersection_closure,
@@ -261,159 +262,146 @@ class DictionaryReport:
         return all(c.passed for c in self.checks)
 
 
-def _pairs_free_in(i: int, n: int) -> int:
-    """Bitset over the indices sigma | tau << n: those free in neuron i + 1,
-    with neither bit i nor bit i + n."""
-    bits = (1 << (1 << i)) - 1
-    for k in range(i + 1, 2 * n):
-        if k != i + n:
-            bits |= bits << (1 << k)
+@lru_cache(maxsize=None)
+def _ternary_tables() -> tuple[tuple[int, ...], ...]:
+    """Over eight neurons: the ternary vector of each byte's word (digit 1
+    on its neurons), and the on and free masks of each of the 3**8 vectors."""
+    values, on, free = [0], [0], [0]
+    for k in range(8):
+        values += [v + 3 ** k for v in values]
+        on, free = on + [m | 1 << k for m in on] + on, free + free + [m | 1 << k for m in free]
+    return tuple(values), tuple(on), tuple(free)
+
+
+def _digit_two(i: int, n: int) -> int:
+    """Bitset over the 3**n ternary vectors: those whose digit i is 2. One
+    block of 3**(i + 1) bits, tripled; built per call, never cached (5.4 MB
+    at n = 16)."""
+    step = 3 ** i
+    bits, width = (1 << step) - 1 << 2 * step, 3 * step
+    while width < 3 ** n:
+        bits |= bits << width | bits << 2 * width
+        width *= 3
     return bits
 
 
-def _canonical_form_by_enumeration(code: Code) -> frozenset[Pseudomonomial]:
-    """Reference route for the alpha check, independent of the interval kernel.
+def _inside(words: frozenset[int], n: int) -> int:
+    """The intervals inside a word set, as a bitset over the 3**n ternary
+    vectors t = sum(d_i * 3**i), whose digit d_i says neuron i + 1 is off
+    (0), on (1) or free (2).
 
-    A zeta transform over one bitset of 2**(2n) bits, indexed by
-    sigma | tau << n. A pair is in the ideal iff [sigma, [n] - tau] holds no
-    codeword. The full pairs (w, [n] - w) of the non-words are marked
-    first; then, neuron by neuron, a pair free in i is marked iff both
-    pairs that fix i are (one shift-AND each), which marks every pair of
-    the ideal. A member is minimal iff no one-factor divisor is a member:
-    one shift per factor.
+    A ternary zeta transform: the words themselves (no free digit) are
+    marked first; then, neuron by neuron, a vector free in i is marked iff
+    both vectors that fix i are (one shift-AND each), which marks every
+    interval inside the set.
+    """
+    values = _ternary_tables()[0]
+    marks = bytearray(3 ** n + 7 >> 3)
+    for w in words:
+        t = values[w & 255] + 6561 * values[w >> 8]
+        marks[t >> 3] |= 1 << (t & 7)
+    inside = int.from_bytes(marks, "little")
+    for i in range(n):
+        inside |= inside << 3 ** i & inside << 2 * 3 ** i & _digit_two(i, n)
+    return inside
+
+
+def _maximal_intervals_by_transform(code: Code) -> frozenset[tuple[int, int]]:
+    """Reference route for the alpha, beta and maximality checks: the
+    code's maximal intervals as (lo, hi) pairs, read off ``_inside`` of its
+    words alone. An interval inside the code is maximal iff no one-neuron
+    widening is: digit 0 or 1 to 2, which adds 2 * 3**i or 3**i. The
+    maximal vectors are read off the nonzero 64-bit words.
     """
     n = code.n
-    full = full_mask(n)
-    nbytes = max(8, 1 << 2 * n >> 3)  # whole 64-bit words
-    marks = bytearray(nbytes)
-    for w in range(1 << n):
-        if w not in code.words:
-            p = w | (full ^ w) << n
-            marks[p >> 3] |= 1 << (p & 7)
-    members = int.from_bytes(marks, "little")
-    del marks
+    inside = _inside(code.words, n)
+    blocked = 0
     for i in range(n):
-        members |= members >> (1 << i) & members >> (1 << i + n) & _pairs_free_in(i, n)
-    divisible = 0
-    for i in range(n):
-        free = members & _pairs_free_in(i, n)
-        divisible |= free << (1 << i) | free << (1 << i + n)
-    data = (members & ~divisible).to_bytes(nbytes, "little")
+        wide = inside & _digit_two(i, n)
+        blocked |= wide >> 3 ** i | wide >> 2 * 3 ** i
+    nbytes = 3 ** n + 63 >> 6 << 3  # whole 64-bit words
+    data = (inside ^ inside & blocked).to_bytes(nbytes, "little")
+    _, on, free = _ternary_tables()
     out = []
     for k in compress(range(nbytes >> 3), memoryview(data).cast("Q")):
         word = int.from_bytes(data[k << 3:k + 1 << 3], "little")
         while word:
             low = word & -word
             word ^= low
-            p = k << 6 | low.bit_length() - 1
-            out.append(Pseudomonomial(p & full, p >> n))
+            high, t = divmod(k << 6 | low.bit_length() - 1, 6561)
+            lo = on[t] | on[high] << 8
+            out.append((lo, lo | free[t] | free[high] << 8))
     return frozenset(out)
 
 
-def _prime_sets_by_enumeration(code: Code) -> frozenset[PolarFace]:
-    """Reference route for the delta check, independent of the maximal
-    codewords: ``prime_sets``' definition, tested on all 2**n barred sets.
+def _prime_sets_by_transform(code: Code) -> frozenset[PolarFace]:
+    """Reference route for the delta check: ``prime_sets``' definition,
+    tested on all 2**n barred sets against ``_inside`` of the code's words.
 
-    [n] + B-bar is a face iff B lies in the barred part of a facet holding
-    [n]. Bit-parallel over those facets: holders[v] is the bitset of the
-    facets whose barred part holds v, so the facets above B are the
-    intersection of holders[v] over v in B, built from B less its lowest
-    vertex. B is a minimal non-face iff that is empty and nonempty for
-    every B less one vertex.
+    [n] + B-bar is a face of the factor complex iff the interval
+    [[n] - B, [n]] lies inside the code: the vector with digit 1 outside B
+    and digit 2 on B, (3**n - 1) / 2 plus the ternary vector of B. The
+    bits are read once, through ``to_bytes``. B is a minimal non-face iff
+    it is not a face and every B less one vertex is.
     """
-    n, fc = code.n, factor_complex(code)
-    full = full_mask(n)
-    barred = [f >> n for f in fc.facets if f & full == full]
-    holders = [0] * n
-    for j, y in enumerate(barred):
-        for v in range(n):
-            if y >> v & 1:
-                holders[v] |= 1 << j
-    above = [(1 << len(barred)) - 1]
-    for b in range(1, 1 << n):
-        above.append(above[b & b - 1] & holders[(b & -b).bit_length() - 1])
+    n = code.n
+    data = _inside(code.words, n).to_bytes(3 ** n + 7 >> 3, "little")
+    values = _ternary_tables()[0]
+    base = 3 ** n >> 1
+    face = [data[t >> 3] >> (t & 7) & 1 for t in (
+        base + values[b & 255] + 6561 * values[b >> 8] for b in range(1 << n))]
     return frozenset(
-        PolarFace(0, b) for b in range(1 << n) if not above[b]
-        and all(above[b ^ 1 << v] for v in range(n) if b >> v & 1))
-
-
-def _is_maximal_in(lo: int, hi: int, n: int, nonwords: int) -> bool:
-    """True iff [lo, hi] lies inside the code, whose non-words are the set
-    bits of ``nonwords``, and no interval one neuron wider does.
-
-    Freeing a neuron i fixed in the interval adds the members with i
-    flipped: the member bitset shifted down by 2**i when i is in lo, up
-    when i is outside hi. The interval is inside the code, so the wider
-    one is iff that shifted bitset holds no non-word.
-    """
-    members = _member_bits(lo, hi)
-    if members & nonwords:
-        return False
-    for i in range(n):
-        bit = 1 << i
-        if lo & bit:
-            if not members >> bit & nonwords:
-                return False
-        elif not hi & bit and not members << bit & nonwords:
-            return False
-    return True
+        PolarFace(0, b) for b in range(1 << n) if not face[b]
+        and all(face[b ^ 1 << v] for v in range(n) if b >> v & 1))
 
 
 def verify_dictionary(code: Code) -> DictionaryReport:
     """Check the code/ideal/complex correspondences end to end on one code.
 
     Each check compares one library artifact with one route that can
-    disagree with it.
+    disagree with it. The routes are ternary zeta transforms of one word
+    set (``_inside``), which read only the words: a few shift-ANDs per
+    neuron of 3**n-bit integers (65 KiB at n = 12, 5.4 MB at n = 16).
 
     alpha: the canonical form of the complement's neural ideal (read off
-        the code's maximal intervals) against the minimal pseudomonomials
-        of that ideal found by a zeta transform over all (sigma, tau)
-        pairs, which reads only the words: a few shifts per neuron of
-        2**(2n)-bit integers (128 KiB at n = 10, about 10 ms).
-    beta: the factor-complex facets (read off the code's maximal
-        intervals) against the image of alpha's reference under the facet
-        formula: the minimal pseudomonomial x_sigma (1 - x)_tau of the
-        complement's ideal is the interval [sigma, [n] - tau] of the code,
-        whose facet is ([n] - tau) + bar([n] - sigma). alpha and beta are
-        two arrows of the dictionary checked against one reference; beta
-        adds the facet formula, not a second computation.
-    maximality: every reported interval lies in the code and no interval
-        one neuron wider does; any strictly larger interval contains a
-        one-neuron widening, so this tests maximality without the interval
-        walk. Each interval's member bitset is tested against the code's
-        non-words, and each widening is that bitset shifted by 2**i, so no
-        interval is built per widening. That no maximal interval is
-        missing is alpha's test.
+        the code's maximal intervals) against the image under alpha of the
+        maximal intervals that the transform of the code's words finds.
+    beta: the factor-complex facets (also read off the code's maximal
+        intervals) against the image of the same reference under the facet
+        formula, [lo, hi] to hi + bar([n] - lo): a second arrow checked
+        against the one reference, not a second computation.
+    maximality: each reported interval, in sorted order, against the same
+        reference; the first that is not a maximal interval of the code is
+        named. That none is missing is alpha's test.
     gamma_delta: the minimal primes of the code complex's ideal (the
         complements of the maximal codewords) against the minimal
         transversals of the canonical form's monomial supports, and the
         complement's minimal prime-sets against their definition, tested
-        on all 2**n barred sets bit-parallel over the factor-complex
-        facets that hold [n] (about 2 ms at n = 10).
+        on all 2**n barred sets in the transform of the complement's words.
 
     A failed check indicates a library bug, not a property of the code.
     """
     fc = factor_complex(code)  # capped: refuses first
     comp = code.complement
+    n, full = code.n, full_mask(code.n)
+    reference = _maximal_intervals_by_transform(code)
     checks = []
 
     cf_comp = canonical_form(comp).elements
-    reference = _canonical_form_by_enumeration(comp)
-    ok = cf_comp == reference
+    pms = frozenset(Pseudomonomial(lo, full ^ hi) for lo, hi in reference)
+    ok = cf_comp == pms
     checks.append(DictionaryCheck(
         "alpha", ok,
-        None if ok else f"difference from enumeration {sorted(map(str, cf_comp ^ reference))}"))
+        None if ok else f"difference from enumeration {sorted(map(str, cf_comp ^ pms))}"))
 
-    full = full_mask(code.n)
-    facets = {(full ^ pm.tau) | (full ^ pm.sigma) << code.n for pm in reference}
+    facets = {hi | (full ^ lo) << n for lo, hi in reference}
     ok = fc.facets == facets
     checks.append(DictionaryCheck(
         "beta", ok,
         None if ok else f"facets {sorted(fc.facets)} vs {sorted(facets)} from enumeration"))
 
-    nonwords = code.word_bits ^ ((1 << (1 << code.n)) - 1)
     bad = next((iv for iv in sorted(code.maximal_intervals, key=_INTERVAL_KEY)
-                if not _is_maximal_in(iv.lo, iv.hi, code.n, nonwords)), None)
+                if (iv.lo, iv.hi) not in reference), None)
     checks.append(DictionaryCheck(
         "maximality", bad is None,
         None if bad is None else f"interval [{bad.lo},{bad.hi}]"))
@@ -421,7 +409,7 @@ def verify_dictionary(code: Code) -> DictionaryReport:
     primes = sr_minimal_primes(code)
     transversals = minimal_transversals(
         pm.sigma for pm in canonical_form(code).monomials())
-    psets, scan = prime_sets(comp), _prime_sets_by_enumeration(comp)
+    psets, scan = prime_sets(comp), _prime_sets_by_transform(comp)
     ok = primes == transversals and psets == scan
     checks.append(DictionaryCheck(
         "gamma_delta", ok,

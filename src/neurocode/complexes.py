@@ -191,15 +191,27 @@ def polar_ideal(code: Code) -> SquarefreeMonomialIdeal:
                                          for pm in canonical_form(code).elements))
 
 
+def _check_dualization(n: int, why: str) -> None:
+    """Refuse n above ``CF_MAX_N``, then above 10, where the Berge
+    dualization named in ``why`` can run for minutes."""
+    _check_cap(n)
+    if n > 10:
+        raise CapExceededError(
+            f"n={n} exceeds the limit of 10 on the {why}, which can run for minutes")
+
+
 @_memo
 def factor_ideal(code: Code) -> SquarefreeMonomialIdeal:
     """Intersection of the polarized primes of the neural ideal.
 
     An intersection of monomial primes is generated by the minimal
     transversals of their variable sets (distribute one variable per
-    prime, reduce to the minimal antichain).
+    prime, reduce to the minimal antichain). Refused above n = 10 up
+    front, as ``polar_complex``.
     """
     n = code.n
+    _check_dualization(n, "factor ideal: its generators come from a Berge "
+                          "dualization of the neural ideal's primes")
     prime_vars = [p.pos | p.neg << n for p in primary_decomposition(code)]
     # minimal transversals of at least one edge on 2n vertices: an antichain, none empty
     return _trusted(SquarefreeMonomialIdeal, universe=Universe(n, polar=True),
@@ -258,11 +270,8 @@ def polar_complex(code: Code) -> SimplicialComplex:
     factor complex's facets. Its facets come from a Berge dualization,
     which can run for minutes above n = 10, so that is refused up front.
     """
-    _check_cap(code.n)
-    if code.n > 10:
-        raise CapExceededError(
-            f"n={code.n} exceeds the limit of 10 on the polar complex: its facets "
-            "come from a Berge dualization of the polar ideal, which can run for minutes")
+    _check_dualization(code.n, "polar complex: its facets come from a Berge "
+                               "dualization of the polar ideal")
     return complex_of_ideal(polar_ideal(code))
 
 

@@ -28,15 +28,15 @@ CF_MAX_N = 12
 
 class CapExceededError(ValueError):
     """A request was refused because n is above ``CF_MAX_N``, or above 10
-    for the polar complex."""
+    for the polar complex and the factor ideal."""
 
 
 def _check_cap(n: int) -> None:
-    """Refuse n above CF_MAX_N; ``canonical_form``, ``factor_complex`` and
-    ``polar_complex`` call this first. Above it, the canonical form can hold
-    hundreds of thousands of dataclasses to build and sort, and verify's
-    alpha reference needs 2**(2n)-bit integers. The pinned message still
-    blames the antichain check, which only the public constructors run."""
+    """Refuse n above CF_MAX_N; ``canonical_form``, ``factor_complex``,
+    ``factor_ideal`` and ``polar_complex`` call this first. Above it, the
+    canonical form can hold hundreds of thousands of dataclasses to build,
+    sort and render. The pinned message still blames the antichain check,
+    which only the public constructors run."""
     if n > CF_MAX_N:
         raise CapExceededError(
             f"n={n} exceeds the cap of {CF_MAX_N} on the canonical form and the "

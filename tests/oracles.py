@@ -444,6 +444,30 @@ def intersection_closure(masks, size: int) -> int:
     return out
 
 
+def pair_canonical_form(code: Code) -> frozenset[Pseudomonomial]:
+    """The canonical form by a zeta transform over all (sigma, tau) pairs,
+    on one bitset of 2**(2n) bits indexed by sigma | tau << n (n <= 10).
+
+    A pair is in the ideal iff [sigma, [n] - tau] holds no codeword. The
+    full pairs (w, [n] - w) of the non-words are marked first; then, neuron
+    by neuron, a pair free in i is marked iff both pairs that fix i are.
+    A member is minimal iff no one-factor divisor is a member.
+    """
+    n = code.n
+    assert n <= 10
+    full = full_mask(n)
+    without = _without_vertex(2 * n)
+    members = _bitset((w | (full ^ w) << n for w in range(1 << n) if w not in code.words), 2 * n)
+    for i in range(n):
+        members |= members >> (1 << i) & members >> (1 << i + n) & without[i] & without[i + n]
+    divisible = 0
+    for i in range(n):
+        free = members & without[i] & without[i + n]
+        divisible |= free << (1 << i) | free << (1 << i + n)
+    minimal = bin(members & ~divisible)[:1:-1]
+    return frozenset(Pseudomonomial(p & full, p >> n) for p, c in enumerate(minimal) if c == "1")
+
+
 def check_correspondences(code: Code) -> None:
     """Membership transfer and face correspondences, on one code.
 

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -21,11 +22,12 @@ from neurocode import (
     is_mic_bruteforce,
     is_mic_facets,
     neurons_from_mask,
+    prime_sets,
     render_code_document,
     verify_dictionary,
 )
 from neurocode.classify import (FacetWitness, IntersectionWitness, PseudomonomialWitness,
-                                _canonical_form_by_enumeration, _prime_sets_by_enumeration)
+                                _maximal_intervals_by_transform, _prime_sets_by_transform)
 from neurocode.codes import _clear_masks
 from neurocode.cli import run_command
 
@@ -43,6 +45,7 @@ from oracles import (
     oracle_ic_pairwise,
     oracle_mic,
     oracle_mic_frontier,
+    pair_canonical_form,
     random_codes,
     replay_witness,
     sample_codes,
@@ -325,7 +328,7 @@ class TestVerifyDictionary:
         # maximal codewords 13 and 12 pair with primes <x2>, <x3> and with
         # barred prime-sets {~2}, {~3} on the complement side
         code = example_code()
-        from neurocode import prime_sets, sr_minimal_primes
+        from neurocode import sr_minimal_primes
         assert sr_minimal_primes(code) == {0b010, 0b100}
         assert prime_sets(code.complement) == {
             PolarFace(0, 0b010), PolarFace(0, 0b100)}
@@ -479,37 +482,85 @@ class TestVerifyDictionary:
 
 
 class TestReferenceRoutes:
-    """verify's alpha and delta references against the plain definitions."""
+    """verify's references against the pair route, the plain definitions
+    and the kernels."""
 
     @staticmethod
-    def alpha_cases():
-        for n in range(1, 4):
-            yield from all_codes(n)
-        for n in range(4, 8):
-            yield from random_codes(n, 3, seed=4700 + n)
+    def alpha(code):
+        """The canonical form of the code's ideal by alpha's reference: the
+        image of the complement's maximal intervals from its words."""
+        full = (1 << code.n) - 1
+        return {Pseudomonomial(lo, full ^ hi)
+                for lo, hi in _maximal_intervals_by_transform(code.complement)}
 
     def test_alpha_matches_the_evaluation_oracle(self):
-        for code in self.alpha_cases():
-            assert _canonical_form_by_enumeration(code) == oracle_canonical_form(code)
+        # the evaluation oracle takes 1.5 s for three codes at n = 8 and 8.5 s
+        # at n = 9, so above n = 7 the 4**n pair route stands in for it
+        cases = [*(c for n in range(1, 4) for c in all_codes(n)),
+                 *(c for n in range(4, 11) for c in random_codes(n, 3, seed=4700 + n))]
+        for code in cases:
+            reference = self.alpha(code)
+            assert reference == pair_canonical_form(code)
+            if code.n <= 7:
+                assert reference == oracle_canonical_form(code)
 
     def test_delta_matches_a_face_scan(self):
         codes = [*all_codes(3), *random_codes(5, 6, seed=4800), *random_codes(7, 3, seed=4807)]
         for code in codes:
             barred = all_prime_sets(code)  # is_face on [n] + B-bar, every B
             minimal = {b for b in barred if not any(a != b and a & ~b == 0 for a in barred)}
-            assert _prime_sets_by_enumeration(code) == {PolarFace(0, b) for b in minimal}
+            assert _prime_sets_by_transform(code) == {PolarFace(0, b) for b in minimal}
 
-    def test_alpha_working_set_at_n10(self):
-        # a few 2**20-bit ints; no cube-of-pairs bytearray or digit string
-        for code in random_codes(10, 3, seed=4810):
-            comp = code.complement
+    def test_references_read_only_the_words(self, monkeypatch):
+        cases = [c for n in range(6, 11) for c in random_codes(n, 3, seed=4820 + n)]
+        expected = [({(iv.lo, iv.hi) for iv in c.maximal_intervals}, prime_sets(c.complement))
+                    for c in cases]
+
+        def refuse(*args):
+            raise AssertionError("a reference read a kernel artifact")
+
+        monkeypatch.setattr(Code, "maximal_intervals", property(refuse))
+        monkeypatch.setattr(Code, "maximal_codewords", property(refuse))
+        monkeypatch.setattr(classify, "factor_complex", refuse)
+        monkeypatch.setattr(classify, "canonical_form", refuse)
+        for code, (intervals, psets) in zip(cases, expected):
+            fresh = Code(code.n, code.words)
+            assert _maximal_intervals_by_transform(fresh) == intervals
+            assert _prime_sets_by_transform(fresh.complement) == psets
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_references_above_the_cap(self, n):
+        # the CLI refuses n > 12, but the references answer there in-process
+        t0 = time.perf_counter()
+        for code in random_codes(n, 3, seed=4840 + n):
+            full = (1 << n) - 1
+            assert _maximal_intervals_by_transform(code) == {
+                (iv.lo, iv.hi) for iv in code.maximal_intervals}
+            assert _prime_sets_by_transform(code.complement) == {
+                PolarFace(0, full ^ m) for m in code.maximal_codewords}
+        assert time.perf_counter() - t0 < 3
+
+    @staticmethod
+    def alpha_peak(n):
+        """The largest traced peak of alpha's reference on three seeded codes."""
+        peaks = []
+        for code in random_codes(n, 3, seed=4800 + n):
             tracemalloc.start()
             try:
-                _canonical_form_by_enumeration(comp)
-                peak = tracemalloc.get_traced_memory()[1]
+                _maximal_intervals_by_transform(code)
+                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            assert peak < 1.5 * 2**20
+        return max(peaks)
+
+    def test_alpha_working_set_at_n10(self):
+        # a few 3**n-bit ints (7.2 KiB each) and the intervals found
+        assert self.alpha_peak(10) < 1.5 * 2**20
+
+    def test_alpha_working_set_at_n12(self):
+        # 65 KiB ints and up to 7.7k intervals: 1.8 MiB; the 4**n pair
+        # route held 2 MiB ints and peaked at 12.7 MiB
+        assert self.alpha_peak(12) < 3 * 2**20
 
     def test_verify_caches_no_masks_above_n(self):
         # _clear_masks(20) would pin 2.5 MiB for the life of the process

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -100,6 +101,17 @@ class TestFactorIdeal:
         for code in all_codes(3):
             assert complex_of_ideal(factor_ideal(code)) == factor_complex(code)
             assert ideal_of_complex(factor_complex(code)) == factor_ideal(code)
+
+    @pytest.mark.parametrize("n, message", [
+        (11, "limit of 10 on the factor ideal"), (13, "cap of 12 on the canonical form")])
+    def test_refused_above_n10_before_any_work(self, n, message):
+        # Berge multiplication took about 0.8 s per code at n = 9
+        for code in random_codes(n, 3, seed=9900 + n):
+            t0 = time.perf_counter()
+            with pytest.raises(CapExceededError, match=message):
+                factor_ideal(code)
+            assert time.perf_counter() - t0 < 1
+            assert "maximal_intervals" not in code.__dict__
 
 
 class TestComplexOfIdeal:
