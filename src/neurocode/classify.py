@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress
 
-from .codes import (_INTERVAL_KEY, Code, _clear_masks, _intersection_closure,
-                    _member_bits, _set_bits, full_mask)
+from .codes import (_INTERVAL_KEY, Code, _intersection_closure, _member_bits, _set_bits,
+                    _up_closure, full_mask)
 from .complexes import (PolarFace, factor_complex, minimal_transversals, prime_sets,
                         sr_minimal_primes)
 from .ideals import Pseudomonomial, canonical_form
@@ -93,11 +93,8 @@ def is_intersection_complete_bruteforce(code: Code) -> ClassificationReport:
     wb, n = code.word_bits, code.n
     t0 = _now()
     missing = _intersection_closure(wb, n) & ~wb
-    above = missing  # up-closure: the words that contain a missing value
-    for i, keep in enumerate(_clear_masks(n)):
-        above |= (above & keep) << (1 << i)
     witness = None
-    for w1 in _set_bits(above & wb):
+    for w1 in _set_bits(_up_closure(missing, n) & wb):  # words above a missing value
         below = _member_bits(0, w1) & missing
         partners = below * _member_bits(0, full_mask(n) ^ w1) & wb
         if partners:

@@ -85,7 +85,12 @@ def submasks(mask: int) -> Iterator[int]:
 
 @lru_cache(maxsize=None)
 def _clear_masks(n: int) -> tuple[int, ...]:
-    """Bitsets over the 2**n subsets: entry i marks the words without neuron i + 1."""
+    """Bitsets over the 2**n subsets: entry i marks the words without neuron i + 1.
+
+    The one mask table of the cube steps: an up step along neuron i is
+    ``(bits & clear[i]) << 2**i``, a down step ``(bits >> 2**i) & clear[i]``:
+    shifted first, only the words that had neuron i land inside the mask.
+    """
     size = 1 << n
     out = []
     for i in range(n):
@@ -99,56 +104,49 @@ def _clear_masks(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _hold_masks(n: int) -> tuple[int, ...]:
-    """Bitsets over the 2**n subsets: entry i marks the words with neuron i + 1.
-
-    The down steps AND with these rather than with ``~_clear_masks(n)[i]``:
-    a negative operand costs CPython a two's-complement copy of the bitset.
-    """
-    full = (1 << (1 << n)) - 1
-    return tuple(full ^ keep for keep in _clear_masks(n))
-
-
 def _down_closure(bits: int, n: int) -> int:
-    """The subsets of the members of a bitset over the cube: n shift steps."""
-    for i, hold in enumerate(_hold_masks(n)):
-        bits |= (bits & hold) >> (1 << i)
+    """The subsets of the members of a bitset over the cube: n down steps."""
+    for i, clear in enumerate(_clear_masks(n)):
+        bits |= (bits >> (1 << i)) & clear
+    return bits
+
+
+def _up_closure(bits: int, n: int) -> int:
+    """The supersets of the members of a bitset over the cube: n up steps."""
+    for i, clear in enumerate(_clear_masks(n)):
+        bits |= (bits & clear) << (1 << i)
     return bits
 
 
 def _intersection_closure(bits: int, n: int) -> int:
     """The intersections of all nonempty subfamilies of a bitset's members.
 
-    [n] is one iff it is a member. Any other word w is one iff, for each
-    neuron i outside w, some member without i lies above w (those members
-    meet in w): iff w lies in D_i, the down-closure of the members along
-    every neuron but i, as D(bits & keep_i) == D_i & keep_i. That puts w
-    below a member too, so no full down-closure is needed. One
+    A word w is one iff, for every neuron i, some member above w agrees
+    with w on i (those members meet in w): iff w lies in every D_i, the
+    down-closure of the members along every neuron but i. One
     divide-and-conquer pass gives all n closures D_i in n * ceil(log2 n)
-    shift steps: 64 at n = 16, against 272 for n + 1 full down-closures.
+    down steps: 64 at n = 16, against 272 for n + 1 full down-closures.
     """
     if n == 1:
         return bits  # the words on one neuron form a chain
-    out = (1 << (1 << n) - 1) - 1 | bits  # every word but [n], and the members
-    return out & _leave_one_out(bits, 0, n, _hold_masks(n))
+    return _leave_one_out(bits, 0, n, _clear_masks(n))
 
 
-def _leave_one_out(bits: int, lo: int, hi: int, hold: tuple[int, ...]) -> int:
-    """The AND of hold[i] | D_i over the neurons i in lo..hi - 1 (at least two).
+def _leave_one_out(bits: int, lo: int, hi: int, clear: tuple[int, ...]) -> int:
+    """The AND of D_i over the neurons i in lo..hi - 1 (at least two).
 
     ``bits`` comes closed along every neuron outside lo..hi - 1. Closing it
     along one half of the range serves every neuron of the other half, so
-    each level of the recursion takes one shift step per neuron.
+    each level of the recursion takes one down step per neuron.
     """
     mid = (lo + hi) >> 1
     left = right = bits
     for i in range(mid, hi):
-        left |= (left & hold[i]) >> (1 << i)
+        left |= (left >> (1 << i)) & clear[i]
     for i in range(lo, mid):
-        right |= (right & hold[i]) >> (1 << i)
-    out = hold[lo] | left if mid - lo == 1 else _leave_one_out(left, lo, mid, hold)
-    return out & (hold[mid] | right if hi - mid == 1 else _leave_one_out(right, mid, hi, hold))
+        right |= (right >> (1 << i)) & clear[i]
+    out = left if mid - lo == 1 else _leave_one_out(left, lo, mid, clear)
+    return out & (right if hi - mid == 1 else _leave_one_out(right, mid, hi, clear))
 
 
 def _member_bits(lo: int, hi: int) -> int:
@@ -321,12 +319,12 @@ class Code:
 
         The words strictly below some codeword are the down-closure of the
         codewords with one neuron dropped; the down-closure drops each
-        neuron in turn (2n shift steps over ``word_bits`` in all).
+        neuron in turn (2n down steps over ``word_bits`` in all).
         """
         wb = self.word_bits
         below = 0
-        for i, hold in enumerate(_hold_masks(self.n)):
-            below |= (wb & hold) >> (1 << i)
+        for i, clear in enumerate(_clear_masks(self.n)):
+            below |= (wb >> (1 << i)) & clear
         return frozenset(_set_bits(wb & ~_down_closure(below, self.n)))
 
     def contains_interval(self, iv: Interval) -> bool:

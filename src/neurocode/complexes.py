@@ -26,7 +26,6 @@ from .ideals import (
     Pseudomonomial,
     _check_cap,
     canonical_form,
-    primary_decomposition,
 )
 
 
@@ -202,20 +201,15 @@ def _check_dualization(n: int, why: str) -> None:
 
 @_memo
 def factor_ideal(code: Code) -> SquarefreeMonomialIdeal:
-    """Intersection of the polarized primes of the neural ideal.
-
-    An intersection of monomial primes is generated by the minimal
-    transversals of their variable sets (distribute one variable per
-    prime, reduce to the minimal antichain). Refused above n = 10 up
-    front, as ``polar_complex``.
+    """Intersection of the polarized primes of the neural ideal, read off
+    as the Stanley-Reisner ideal of the factor complex: the facet of a
+    maximal interval [lo, hi] has the complement ([n] - hi) + bar(lo),
+    the variable set of its prime. Refused above n = 10 up front, as
+    ``polar_complex``.
     """
-    n = code.n
-    _check_dualization(n, "factor ideal: its generators come from a Berge "
-                          "dualization of the neural ideal's primes")
-    prime_vars = [p.pos | p.neg << n for p in primary_decomposition(code)]
-    # minimal transversals of at least one edge on 2n vertices: an antichain, none empty
-    return _trusted(SquarefreeMonomialIdeal, universe=Universe(n, polar=True),
-                    generators=minimal_transversals(prime_vars))
+    _check_dualization(code.n, "factor ideal: its generators come from a Berge "
+                               "dualization of the neural ideal's primes")
+    return ideal_of_complex(factor_complex(code))
 
 
 def complex_of_ideal(ideal: SquarefreeMonomialIdeal) -> SimplicialComplex:

@@ -67,12 +67,14 @@ def survey(n: int) -> Iterator[SurveyRow]:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"neuron count must be a positive integer, got {n!r}")
     if n > SURVEY_MAX_N:
-        digits = (1 << n) * 0.30103
+        digits = 2.0 ** min(n, 1023) * 0.30103  # 2**n * log10(2), never a 2**n-bit int
         if digits < 15:
             count = 2 ** (1 << n) - 2
             sizing = f"{count} codes, about {count * 5e-4 / 86400:.1f} days at 0.5 ms each"
-        else:
+        elif n < 1024:
             sizing = f"about 10**{digits:.0f} codes"
+        else:  # 10**(10**(n * log10(2) + log10(log10(2)))), rounded in integers
+            sizing = f"about 10**(10**{(n * 30103 - 2140) // 100000}) codes"
         raise SurveyTooLargeError(
             f"survey over n={n} means {sizing}; the cap is n={SURVEY_MAX_N} "
             f"(65534 codes)")

@@ -26,6 +26,7 @@ from neurocode import (
     in_neural_ideal,
     polar_complex,
     polar_ideal,
+    primary_decomposition,
     prime_sets,
     submasks,
 )
@@ -432,6 +433,34 @@ def down_closure(masks, size: int) -> int:
     return bits
 
 
+def _set_positions(bits: int) -> frozenset[int]:
+    """The positions of the set bits of a bitset."""
+    return frozenset(i for i, c in enumerate(bin(bits)[:1:-1]) if c == "1")
+
+
+def cube_minimal_transversals(edges, size: int) -> frozenset[int]:
+    """The minimal transversals of a hypergraph on ``size`` vertices, by two
+    sweeps over the 2**size subsets: the non-transversals are the
+    down-closure of the edge complements, and a transversal is minimal iff
+    no transversal lies one vertex below it. No edge gives {0}; an empty
+    edge gives no transversal."""
+    full = (1 << size) - 1
+    trans = ((1 << (1 << size)) - 1) ^ down_closure([full ^ e for e in edges], size)
+    above = 0  # the subsets one vertex above a transversal
+    for v, without in enumerate(_without_vertex(size)):
+        above |= (trans & without) << (1 << v)
+    return _set_positions(trans & ~above)
+
+
+def factor_ideal_by_primes(code: Code) -> frozenset[int]:
+    """The factor ideal's generators by its definition: the intersection of
+    the polarized primes of the neural ideal is generated by the minimal
+    transversals of their variable sets (dualized on the cube)."""
+    n = code.n
+    return cube_minimal_transversals(
+        [p.pos | p.neg << n for p in primary_decomposition(code)], 2 * n)
+
+
 def intersection_closure(masks, size: int) -> int:
     """Bitset over the 2**size subsets: the intersections of the nonempty
     subfamilies of ``masks``, as size + 1 down-closures. A mask is one iff
@@ -464,8 +493,7 @@ def pair_canonical_form(code: Code) -> frozenset[Pseudomonomial]:
     for i in range(n):
         free = members & without[i] & without[i + n]
         divisible |= free << (1 << i) | free << (1 << i + n)
-    minimal = bin(members & ~divisible)[:1:-1]
-    return frozenset(Pseudomonomial(p & full, p >> n) for p, c in enumerate(minimal) if c == "1")
+    return frozenset(Pseudomonomial(p & full, p >> n) for p in _set_positions(members & ~divisible))
 
 
 def check_correspondences(code: Code) -> None:

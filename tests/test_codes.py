@@ -8,7 +8,7 @@ from neurocode import (Code, Interval, InvalidCodeError, code_from_id,
                        downward_closure, minimal_transversals, neurons_from_mask,
                        submasks)
 from neurocode.codes import (_code_from_bits, _down_closure, _intersection_closure,
-                             _neuron_names, _set_bits)
+                             _neuron_names, _set_bits, _up_closure)
 
 from oracles import (
     EXAMPLE_COMPLEMENT_WORDS,
@@ -26,6 +26,7 @@ from oracles import (
     oracle_maximal_intervals,
     random_codes,
     sample_codes,
+    up_closure,
 )
 
 
@@ -272,6 +273,18 @@ class TestClosureKernels:
         for n in (1, 2, 3):
             for bits in range(1 << (1 << n)):
                 assert _down_closure(bits, n) == down_closure(_set_bits(bits), n)
+
+    def test_up_closure_exhaustive_n3(self):
+        for n in (1, 2, 3):
+            for bits in range(1 << (1 << n)):
+                assert _up_closure(bits, n) == up_closure(_set_bits(bits), n)
+
+    @pytest.mark.parametrize("n", [5, 8, 11])
+    def test_up_closure_random_families(self, n):
+        rng = random.Random(4600 + n)
+        for _ in range(40):
+            family = {rng.getrandbits(n) for _ in range(rng.randint(0, 9))}
+            assert _up_closure(sum(1 << w for w in family), n) == up_closure(family, n)
 
     def test_intersection_closure_exhaustive_n3(self):
         for n in (1, 2, 3):

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 from types import ModuleType
@@ -739,6 +740,21 @@ class TestSurveyCli:
     def test_refusal_above_cap(self, capsys):
         assert run_command(["survey", "--n", "5"]) == 1
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, sizing", [
+        ("5", "4294967294 codes, about 24.9 days at 0.5 ms each"),
+        ("1024", "about 10**(10**308) codes"), ("1000000", "about 10**(10**301029) codes")])
+    def test_refusal_is_one_error_line(self, n, sizing):
+        # sized in floats and small ints: no 2**n-bit int, no float overflow
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "neurocode", "survey", "--n", n],
+            capture_output=True, env={**os.environ, "PYTHONPATH": "src"},
+            cwd=Path(__file__).resolve().parent.parent, check=False)
+        assert time.perf_counter() - t0 < 1
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == (f"error: survey over n={n} means {sizing}; "
+                               f"the cap is n=4 (65534 codes)\n").encode()
 
     def test_json_summary(self, capsys):
         assert run_command(["survey", "--n", "2", "--json"]) == 0
