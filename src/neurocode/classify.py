@@ -205,13 +205,13 @@ def is_mic_facets(code: Code) -> ClassificationReport:
 
     For every facet F not containing [n] there must be an i outside F
     such that every minimal prime-set containing i-bar also contains
-    some j-bar outside F.
+    some j-bar outside F. The complement's minimal prime-sets are the
+    barred ``sr_minimal_primes(code)``, which are read as masks.
     """
-    fc, psets = factor_complex(code.complement), prime_sets(code.complement)
+    fc, pset_masks = factor_complex(code.complement), sorted(sr_minimal_primes(code))
     t0 = _now()
     n = code.n
     full = full_mask(n)
-    pset_masks = sorted(pf.ypart for pf in psets)
     witness = None
     for fmask in sorted(fc.facets):
         x = fmask & full
@@ -303,15 +303,13 @@ def _inside(words: frozenset[int], n: int) -> int:
     return inside
 
 
-def _maximal_intervals_by_transform(code: Code) -> frozenset[tuple[int, int]]:
+def _maximal_intervals_by_transform(inside: int, n: int) -> frozenset[tuple[int, int]]:
     """Reference route for the alpha, beta and maximality checks: the
-    code's maximal intervals as (lo, hi) pairs, read off ``_inside`` of its
-    words alone. An interval inside the code is maximal iff no one-neuron
-    widening is: digit 0 or 1 to 2, which adds 2 * 3**i or 3**i. The
-    maximal vectors are read off the nonzero 64-bit words.
+    maximal intervals of a word set as (lo, hi) pairs, read off its
+    ``_inside`` alone. An interval inside the set is maximal iff no
+    one-neuron widening is: digit 0 or 1 to 2, which adds 2 * 3**i or
+    3**i. The maximal vectors are read off the nonzero 64-bit words.
     """
-    n = code.n
-    inside = _inside(code.words, n)
     blocked = 0
     for i in range(n):
         wide = inside & _digit_two(i, n)
@@ -331,7 +329,7 @@ def _maximal_intervals_by_transform(code: Code) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
-def _prime_sets_by_transform(code: Code) -> frozenset[PolarFace]:
+def _prime_sets_by_transform(inside: int, n: int) -> frozenset[PolarFace]:
     """Reference route for the delta check: ``prime_sets``' definition,
     tested on all 2**n barred sets against ``_inside`` of the code's words.
 
@@ -341,8 +339,7 @@ def _prime_sets_by_transform(code: Code) -> frozenset[PolarFace]:
     bits are read once, through ``to_bytes``. B is a minimal non-face iff
     it is not a face and every B less one vertex is.
     """
-    n = code.n
-    data = _inside(code.words, n).to_bytes(3 ** n + 7 >> 3, "little")
+    data = inside.to_bytes(3 ** n + 7 >> 3, "little")
     values = _ternary_tables()[0]
     base = 3 ** n >> 1
     face = [data[t >> 3] >> (t & 7) & 1 for t in (
@@ -355,41 +352,42 @@ def _prime_sets_by_transform(code: Code) -> frozenset[PolarFace]:
 def verify_dictionary(code: Code) -> DictionaryReport:
     """Check the code/ideal/complex correspondences end to end on one code.
 
-    Each check compares one library artifact with one route that can
-    disagree with it. The routes are ternary zeta transforms of one word
-    set (``_inside``), which read only the words: a few shift-ANDs per
+    Each check compares an artifact that the CLI prints for this code with
+    one route that can disagree with it. The routes are ternary zeta
+    transforms (``_inside``) of the code's words and of the complement's,
+    each built once and reading only the words: a few shift-ANDs per
     neuron of 3**n-bit integers (65 KiB at n = 12, 5.4 MB at n = 16).
 
-    alpha: the canonical form of the complement's neural ideal (read off
-        the code's maximal intervals) against the image under alpha of the
-        maximal intervals that the transform of the code's words finds.
-    beta: the factor-complex facets (also read off the code's maximal
-        intervals) against the image of the same reference under the facet
-        formula, [lo, hi] to hi + bar([n] - lo): a second arrow checked
-        against the one reference, not a second computation.
-    maximality: each reported interval, in sorted order, against the same
+    alpha: the code's canonical form (read off the complement's maximal
+        intervals) against the image under alpha of the maximal intervals
+        that the transform of the complement's words finds.
+    beta: the factor-complex facets (read off the code's maximal
+        intervals) against the image under the facet formula, [lo, hi] to
+        hi + bar([n] - lo), of those that the code's transform finds.
+    maximality: each reported interval, in sorted order, against beta's
         reference; the first that is not a maximal interval of the code is
-        named. That none is missing is alpha's test.
+        named. That none is missing is beta's test.
     gamma_delta: the minimal primes of the code complex's ideal (the
         complements of the maximal codewords) against the minimal
         transversals of the canonical form's monomial supports, and the
-        complement's minimal prime-sets against their definition, tested
-        on all 2**n barred sets in the transform of the complement's words.
+        code's minimal prime-sets against their definition, tested on all
+        2**n barred sets in the transform of the code's words.
 
     A failed check indicates a library bug, not a property of the code.
     """
     fc = factor_complex(code)  # capped: refuses first
-    comp = code.complement
     n, full = code.n, full_mask(code.n)
-    reference = _maximal_intervals_by_transform(code)
+    inside = _inside(code.words, n)
+    reference = _maximal_intervals_by_transform(inside, n)
     checks = []
 
-    cf_comp = canonical_form(comp).elements
-    pms = frozenset(Pseudomonomial(lo, full ^ hi) for lo, hi in reference)
-    ok = cf_comp == pms
+    cf = canonical_form(code)
+    pms = frozenset(Pseudomonomial(lo, full ^ hi) for lo, hi in
+                    _maximal_intervals_by_transform(_inside(code.complement.words, n), n))
+    ok = cf.elements == pms
     checks.append(DictionaryCheck(
         "alpha", ok,
-        None if ok else f"difference from enumeration {sorted(map(str, cf_comp ^ pms))}"))
+        None if ok else f"difference from enumeration {sorted(map(str, cf.elements ^ pms))}"))
 
     facets = {hi | (full ^ lo) << n for lo, hi in reference}
     ok = fc.facets == facets
@@ -404,9 +402,8 @@ def verify_dictionary(code: Code) -> DictionaryReport:
         None if bad is None else f"interval [{bad.lo},{bad.hi}]"))
 
     primes = sr_minimal_primes(code)
-    transversals = minimal_transversals(
-        pm.sigma for pm in canonical_form(code).monomials())
-    psets, scan = prime_sets(comp), _prime_sets_by_transform(comp)
+    transversals = minimal_transversals(pm.sigma for pm in cf.monomials())
+    psets, scan = prime_sets(code), _prime_sets_by_transform(inside, n)
     ok = primes == transversals and psets == scan
     checks.append(DictionaryCheck(
         "gamma_delta", ok,

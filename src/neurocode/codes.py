@@ -308,10 +308,9 @@ class Code:
 
     @cached_property
     def complement(self) -> "Code":
-        """The code whose words are exactly the non-words of this one."""
-        comp = _code_from_bits(self.n, self.word_bits ^ ((1 << (1 << self.n)) - 1))
-        comp.__dict__["complement"] = self  # complementation is an involution
-        return comp
+        """The code whose words are exactly the non-words of this one, cached
+        one way: it holds no reference back, so the two form no cycle."""
+        return _code_from_bits(self.n, self.word_bits ^ ((1 << (1 << self.n)) - 1))
 
     @cached_property
     def maximal_codewords(self) -> frozenset[int]:

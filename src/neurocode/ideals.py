@@ -33,15 +33,12 @@ class CapExceededError(ValueError):
 
 def _check_cap(n: int) -> None:
     """Refuse n above CF_MAX_N; ``canonical_form``, ``factor_complex``,
-    ``factor_ideal`` and ``polar_complex`` call this first. Above it, the
-    canonical form can hold hundreds of thousands of dataclasses to build,
-    sort and render. The pinned message still blames the antichain check,
-    which only the public constructors run."""
+    ``factor_ideal`` and ``polar_complex`` call this first."""
     if n > CF_MAX_N:
         raise CapExceededError(
             f"n={n} exceeds the cap of {CF_MAX_N} on the canonical form and the "
-            "factor complex: above it they can hold hundreds of thousands of "
-            "elements, and checking that these form an antichain takes tens of seconds")
+            "factor complex: above it there are up to hundreds of thousands of "
+            "elements to build, sort and print")
 
 
 @dataclass(frozen=True, order=True)

@@ -1,12 +1,15 @@
+import gc
 import io
 import json
 import time
 import tracemalloc
+import weakref
 
 import pytest
 
 from neurocode import classify
 from neurocode import (
+    CanonicalForm,
     CapExceededError,
     Code,
     Interval,
@@ -27,7 +30,8 @@ from neurocode import (
     verify_dictionary,
 )
 from neurocode.classify import (FacetWitness, IntersectionWitness, PseudomonomialWitness,
-                                _maximal_intervals_by_transform, _prime_sets_by_transform)
+                                _inside, _maximal_intervals_by_transform,
+                                _prime_sets_by_transform)
 from neurocode.codes import _clear_masks
 from neurocode.cli import run_command
 
@@ -349,20 +353,74 @@ class TestVerifyDictionary:
                 assert verify_dictionary(code).passed
 
     def test_alpha_fails_when_the_kernel_drops_an_interval(self):
-        # the alpha check compares against a transform of the words, so a kernel
-        # that loses an interval fails it even though the canonical form is
-        # built from the same (wrong) intervals
-        code = example_code()
-        dropped = min(code.maximal_intervals)
-        code.__dict__["maximal_intervals"] = code.maximal_intervals - {dropped}
-        report = verify_dictionary(code)
-        alpha = next(c for c in report.checks if c.name == "alpha")
-        assert not alpha.passed
-        assert not report.passed
+        # alpha compares the canonical form, read off the complement's maximal
+        # intervals, with a transform of the complement's words; beta compares
+        # the factor complex, read off the code's, with a transform of the
+        # code's words. So a kernel that loses an interval on either side fails
+        # the check that reads it, though the artifact is built from the same
+        # (wrong) intervals
+        for side, failing, passing in (("complement", "alpha", "beta"),
+                                       ("code", "beta", "alpha")):
+            code = example_code()
+            holder = code.complement if side == "complement" else code
+            dropped = min(holder.maximal_intervals)
+            holder.__dict__["maximal_intervals"] = holder.maximal_intervals - {dropped}
+            report = verify_dictionary(code)
+            checks = {c.name: c for c in report.checks}
+            assert not checks[failing].passed
+            assert checks[passing].passed
+            assert not report.passed
+
+    def test_alpha_fails_when_the_canonical_form_drops_an_element(self):
+        # alpha reads the code's own canonical form, the one ``cf`` prints
+        for code in random_codes(6, 12, seed=4660):
+            cf = canonical_form(code)
+            pm = min(p for p in cf.elements if not p.is_monomial)
+            code.__dict__["_canonical_form"] = CanonicalForm(code.n, cf.elements - {pm})
+            report = verify_dictionary(code)
+            alpha = report.checks[0]
+            assert alpha.name == "alpha" and not alpha.passed
+            assert alpha.detail == f"difference from enumeration {[str(pm)]}"
+            assert not report.passed
+
+    def test_gamma_delta_fails_when_the_prime_sets_lose_a_member(self):
+        # delta reads the code's own prime-sets, the ones ``complexes`` prints;
+        # they are read off the complement's maximal codewords
+        mutated = 0
+        for code in random_codes(6, 9, seed=4670):
+            comp = code.complement
+            if len(comp.maximal_codewords) < 2:
+                continue
+            psets = prime_sets(code)
+            comp.__dict__["maximal_codewords"] = comp.maximal_codewords - {
+                min(comp.maximal_codewords)}
+            assert len(prime_sets(code)) == len(psets) - 1
+            report = verify_dictionary(code)
+            gamma_delta = report.checks[3]
+            assert gamma_delta.name == "gamma_delta" and not gamma_delta.passed
+            assert f"prime-sets {sorted(prime_sets(code))} vs {sorted(psets)}" \
+                in gamma_delta.detail
+            assert not report.passed
+            mutated += 1
+        assert mutated == 5
+
+    def test_a_code_and_its_complement_die_with_their_last_reference(self):
+        # the complement is cached one way, so no reference cycle keeps a code,
+        # its complement and their cached artifacts alive until the collector runs
+        gc.disable()
+        try:
+            [code] = random_codes(6, 1, seed=4680)
+            comp = code.complement
+            canonical_form(code), factor_complex(comp), verify_dictionary(code)
+            refs = weakref.ref(code), weakref.ref(comp)
+            del code, comp
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_gamma_delta_fails_when_a_maximal_codeword_is_dropped(self):
-        # prime_sets is derived from the same maximal codewords, so it is
-        # the face test of every barred set and the transversal route that catch the loss
+        # the minimal primes come from the maximal codewords; the transversals
+        # of the canonical form's monomials, read off the complement, catch the loss
         code = example_code()
         dropped = min(code.maximal_codewords)
         code.__dict__["maximal_codewords"] = code.maximal_codewords - {dropped}
@@ -410,9 +468,8 @@ class TestVerifyDictionary:
     @staticmethod
     def report_intervals(code, intervals):
         """Make the interval kernel report ``intervals`` for ``code`` once the
-        canonical form and the factor complex are memoized from the true ones,
-        so that only the maximality leg reads them."""
-        canonical_form(code.complement)
+        factor complex is memoized from the true ones, so that only the
+        maximality leg reads them (the canonical form reads the complement's)."""
         factor_complex(code)
         code.__dict__["maximal_intervals"] = frozenset(intervals)
 
@@ -481,6 +538,16 @@ class TestVerifyDictionary:
         assert "maximal_intervals" not in code.__dict__
 
 
+def intervals_by_transform(code):
+    """Alpha's and beta's reference, on the transform of ``code``'s words."""
+    return _maximal_intervals_by_transform(_inside(code.words, code.n), code.n)
+
+
+def prime_sets_by_transform(code):
+    """Delta's reference, on the transform of ``code``'s words."""
+    return _prime_sets_by_transform(_inside(code.words, code.n), code.n)
+
+
 class TestReferenceRoutes:
     """verify's references against the pair route, the plain definitions
     and the kernels."""
@@ -491,7 +558,7 @@ class TestReferenceRoutes:
         image of the complement's maximal intervals from its words."""
         full = (1 << code.n) - 1
         return {Pseudomonomial(lo, full ^ hi)
-                for lo, hi in _maximal_intervals_by_transform(code.complement)}
+                for lo, hi in intervals_by_transform(code.complement)}
 
     def test_alpha_matches_the_evaluation_oracle(self):
         # the evaluation oracle takes 1.5 s for three codes at n = 8 and 8.5 s
@@ -509,12 +576,12 @@ class TestReferenceRoutes:
         for code in codes:
             barred = all_prime_sets(code)  # is_face on [n] + B-bar, every B
             minimal = {b for b in barred if not any(a != b and a & ~b == 0 for a in barred)}
-            assert _prime_sets_by_transform(code) == {PolarFace(0, b) for b in minimal}
+            assert prime_sets_by_transform(code) == {PolarFace(0, b) for b in minimal}
 
     def test_references_read_only_the_words(self, monkeypatch):
         cases = [c for n in range(6, 11) for c in random_codes(n, 3, seed=4820 + n)]
-        expected = [({(iv.lo, iv.hi) for iv in c.maximal_intervals}, prime_sets(c.complement))
-                    for c in cases]
+        expected = [([{(iv.lo, iv.hi) for iv in x.maximal_intervals} for x in (c, c.complement)],
+                     prime_sets(c)) for c in cases]
 
         def refuse(*args):
             raise AssertionError("a reference read a kernel artifact")
@@ -525,8 +592,8 @@ class TestReferenceRoutes:
         monkeypatch.setattr(classify, "canonical_form", refuse)
         for code, (intervals, psets) in zip(cases, expected):
             fresh = Code(code.n, code.words)
-            assert _maximal_intervals_by_transform(fresh) == intervals
-            assert _prime_sets_by_transform(fresh.complement) == psets
+            assert [intervals_by_transform(x) for x in (fresh, fresh.complement)] == intervals
+            assert prime_sets_by_transform(fresh) == psets
 
     @pytest.mark.parametrize("n", [13, 14])
     def test_references_above_the_cap(self, n):
@@ -534,10 +601,10 @@ class TestReferenceRoutes:
         t0 = time.perf_counter()
         for code in random_codes(n, 3, seed=4840 + n):
             full = (1 << n) - 1
-            assert _maximal_intervals_by_transform(code) == {
+            assert intervals_by_transform(code) == {
                 (iv.lo, iv.hi) for iv in code.maximal_intervals}
-            assert _prime_sets_by_transform(code.complement) == {
-                PolarFace(0, full ^ m) for m in code.maximal_codewords}
+            assert prime_sets_by_transform(code) == {
+                PolarFace(0, full ^ m) for m in code.complement.maximal_codewords}
         assert time.perf_counter() - t0 < 3
 
     @staticmethod
@@ -547,7 +614,7 @@ class TestReferenceRoutes:
         for code in random_codes(n, 3, seed=4800 + n):
             tracemalloc.start()
             try:
-                _maximal_intervals_by_transform(code)
+                intervals_by_transform(code)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -93,7 +93,7 @@ class TestCodeFromBits:
             assert comp == ref
             assert comp.word_list == ref.word_list
             assert comp.word_bits == ref.word_bits
-            assert comp.complement is code
+            assert comp.complement == code
 
     @pytest.mark.parametrize("n", [1, 2, 4, 16])
     def test_refuses_empty_full_and_out_of_range(self, n):
