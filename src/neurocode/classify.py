@@ -15,7 +15,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
 
 from .codes import (_INTERVAL_KEY, Code, _intersection_closure, _member_bits, _set_bits,
                     _up_closure, full_mask)
@@ -271,9 +270,9 @@ def _ternary_tables() -> tuple[tuple[int, ...], ...]:
 
 
 def _digit_two(i: int, n: int) -> int:
-    """Bitset over the 3**n ternary vectors: those whose digit i is 2. One
-    block of 3**(i + 1) bits, tripled; built per call, never cached (5.4 MB
-    at n = 16)."""
+    """Bitset over the 3**n ternary vectors of ``_maximal_intervals``: those
+    whose digit i is 2 (neuron i + 1 free). One block of 3**(i + 1) bits,
+    tripled; built per call, never cached (5.4 MB at n = 16)."""
     step = 3 ** i
     bits, width = (1 << step) - 1 << 2 * step, 3 * step
     while width < 3 ** n:
@@ -282,17 +281,20 @@ def _digit_two(i: int, n: int) -> int:
     return bits
 
 
-def _inside(words: frozenset[int], n: int) -> int:
-    """The intervals inside a word set, as a bitset over the 3**n ternary
-    vectors t = sum(d_i * 3**i), whose digit d_i says neuron i + 1 is off
-    (0), on (1) or free (2).
+def _maximal_intervals(words: frozenset[int], n: int) -> frozenset[tuple[int, int]]:
+    """Reference route for verify's checks: the maximal intervals of a word
+    set as (lo, hi) pairs, read off the words alone.
 
-    A ternary zeta transform: the words themselves (no free digit) are
-    marked first; then, neuron by neuron, a vector free in i is marked iff
-    both vectors that fix i are (one shift-AND each), which marks every
-    interval inside the set.
+    An interval is a ternary vector t = sum(d_i * 3**i), whose digit d_i
+    says neuron i + 1 is off (0), on (1) or free (2). A ternary zeta
+    transform over one bitset of the 3**n vectors marks the words
+    themselves (no free digit) first; then, neuron by neuron, a vector
+    free in i is marked iff both vectors that fix i are (one shift-AND
+    each), which marks every interval inside the set. A marked interval is
+    maximal iff no one-neuron widening is: digit 0 or 1 to 2, which adds
+    2 * 3**i or 3**i. The maximal vectors are read through ``_set_bits``.
     """
-    values = _ternary_tables()[0]
+    values, on, free = _ternary_tables()
     marks = bytearray(3 ** n + 7 >> 3)
     for w in words:
         t = values[w & 255] + 6561 * values[w >> 8]
@@ -300,63 +302,37 @@ def _inside(words: frozenset[int], n: int) -> int:
     inside = int.from_bytes(marks, "little")
     for i in range(n):
         inside |= inside << 3 ** i & inside << 2 * 3 ** i & _digit_two(i, n)
-    return inside
-
-
-def _maximal_intervals_by_transform(inside: int, n: int) -> frozenset[tuple[int, int]]:
-    """Reference route for the alpha, beta and maximality checks: the
-    maximal intervals of a word set as (lo, hi) pairs, read off its
-    ``_inside`` alone. An interval inside the set is maximal iff no
-    one-neuron widening is: digit 0 or 1 to 2, which adds 2 * 3**i or
-    3**i. The maximal vectors are read off the nonzero 64-bit words.
-    """
     blocked = 0
     for i in range(n):
         wide = inside & _digit_two(i, n)
         blocked |= wide >> 3 ** i | wide >> 2 * 3 ** i
-    nbytes = 3 ** n + 63 >> 6 << 3  # whole 64-bit words
-    data = (inside ^ inside & blocked).to_bytes(nbytes, "little")
-    _, on, free = _ternary_tables()
     out = []
-    for k in compress(range(nbytes >> 3), memoryview(data).cast("Q")):
-        word = int.from_bytes(data[k << 3:k + 1 << 3], "little")
-        while word:
-            low = word & -word
-            word ^= low
-            high, t = divmod(k << 6 | low.bit_length() - 1, 6561)
-            lo = on[t] | on[high] << 8
-            out.append((lo, lo | free[t] | free[high] << 8))
+    for k in _set_bits(inside & ~blocked):
+        high, t = divmod(k, 6561)
+        lo = on[t] | on[high] << 8
+        out.append((lo, lo | free[t] | free[high] << 8))
     return frozenset(out)
 
 
-def _prime_sets_by_transform(inside: int, n: int) -> frozenset[PolarFace]:
-    """Reference route for the delta check: ``prime_sets``' definition,
-    tested on all 2**n barred sets against ``_inside`` of the code's words.
-
-    [n] + B-bar is a face of the factor complex iff the interval
-    [[n] - B, [n]] lies inside the code: the vector with digit 1 outside B
-    and digit 2 on B, (3**n - 1) / 2 plus the ternary vector of B. The
-    bits are read once, through ``to_bytes``. B is a minimal non-face iff
-    it is not a face and every B less one vertex is.
-    """
-    data = inside.to_bytes(3 ** n + 7 >> 3, "little")
-    values = _ternary_tables()[0]
-    base = 3 ** n >> 1
-    face = [data[t >> 3] >> (t & 7) & 1 for t in (
-        base + values[b & 255] + 6561 * values[b >> 8] for b in range(1 << n))]
-    return frozenset(
-        PolarFace(0, b) for b in range(1 << n) if not face[b]
-        and all(face[b ^ 1 << v] for v in range(n) if b >> v & 1))
+def _minimal_nonfaces(intervals: frozenset[tuple[int, int]], n: int) -> frozenset[PolarFace]:
+    """Delta's reference: the minimal non-faces [n] + B-bar of the factor
+    complex whose facets are a code's maximal intervals. [n] + B-bar lies in
+    the facet hi + bar([n] - lo) iff hi = [n] and B misses lo, so they are
+    the minimal transversals of the lo of the intervals with hi = [n]."""
+    full = full_mask(n)
+    return frozenset(PolarFace(0, b) for b in
+                     minimal_transversals(lo for lo, hi in intervals if hi == full))
 
 
 def verify_dictionary(code: Code) -> DictionaryReport:
     """Check the code/ideal/complex correspondences end to end on one code.
 
     Each check compares an artifact that the CLI prints for this code with
-    one route that can disagree with it. The routes are ternary zeta
-    transforms (``_inside``) of the code's words and of the complement's,
-    each built once and reading only the words: a few shift-ANDs per
-    neuron of 3**n-bit integers (65 KiB at n = 12, 5.4 MB at n = 16).
+    one route that can disagree with it. The routes read the maximal
+    intervals of the code's words and of the complement's off ternary zeta
+    transforms (``_maximal_intervals``), each built once and reading only
+    the words: a few shift-ANDs per neuron of 3**n-bit integers (65 KiB at
+    n = 12, 5.4 MB at n = 16).
 
     alpha: the code's canonical form (read off the complement's maximal
         intervals) against the image under alpha of the maximal intervals
@@ -370,20 +346,19 @@ def verify_dictionary(code: Code) -> DictionaryReport:
     gamma_delta: the minimal primes of the code complex's ideal (the
         complements of the maximal codewords) against the minimal
         transversals of the canonical form's monomial supports, and the
-        code's minimal prime-sets against their definition, tested on all
-        2**n barred sets in the transform of the code's words.
+        code's minimal prime-sets against their definition, the minimal
+        non-faces [n] + B-bar of the factor complex of beta's reference.
 
     A failed check indicates a library bug, not a property of the code.
     """
     fc = factor_complex(code)  # capped: refuses first
     n, full = code.n, full_mask(code.n)
-    inside = _inside(code.words, n)
-    reference = _maximal_intervals_by_transform(inside, n)
+    reference = _maximal_intervals(code.words, n)
     checks = []
 
     cf = canonical_form(code)
     pms = frozenset(Pseudomonomial(lo, full ^ hi) for lo, hi in
-                    _maximal_intervals_by_transform(_inside(code.complement.words, n), n))
+                    _maximal_intervals(code.complement.words, n))
     ok = cf.elements == pms
     checks.append(DictionaryCheck(
         "alpha", ok,
@@ -403,11 +378,11 @@ def verify_dictionary(code: Code) -> DictionaryReport:
 
     primes = sr_minimal_primes(code)
     transversals = minimal_transversals(pm.sigma for pm in cf.monomials())
-    psets, scan = prime_sets(code), _prime_sets_by_transform(inside, n)
-    ok = primes == transversals and psets == scan
+    psets, nonfaces = prime_sets(code), _minimal_nonfaces(reference, n)
+    ok = primes == transversals and psets == nonfaces
     checks.append(DictionaryCheck(
         "gamma_delta", ok,
         None if ok else f"primes {sorted(primes)} vs transversals {sorted(transversals)}; "
-                        f"prime-sets {sorted(psets)} vs {sorted(scan)} from enumeration"))
+                        f"prime-sets {sorted(psets)} vs {sorted(nonfaces)} from enumeration"))
 
     return DictionaryReport(tuple(checks))

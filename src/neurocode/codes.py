@@ -54,14 +54,7 @@ def neurons_from_mask(mask: int) -> tuple[int, ...]:
         return _LOW_BYTE[mask & 255] + _HIGH_BYTE[mask >> 8]
     if mask < 0:
         raise ValueError(f"a mask is nonnegative, got {mask}")
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(i + 1 for i in _set_bits(mask))
 
 
 def _neuron_names(mask: int) -> tuple[str, ...]:

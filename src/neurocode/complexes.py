@@ -296,7 +296,7 @@ def prime_sets(code: Code) -> frozenset[PolarFace]:
     so the minimal B are the complements of the complement's maximal
     codewords (the delta correspondence): the barred image of
     ``sr_minimal_primes(code.complement)``. Results carry an empty plain
-    part; verify tests the definition on every barred set as its reference.
+    part; verify's reference reads the definition off the facets instead.
     """
     return frozenset(PolarFace(0, b) for b in sr_minimal_primes(code.complement))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .classify import _IC_METHODS, _MIC_METHODS
-from .codes import Code, _code_from_bits
+from .codes import Code, InvalidCodeError, _code_from_bits
 from .ideals import canonical_form
 
 SURVEY_MAX_N = 4
@@ -52,9 +52,12 @@ def code_from_id(n: int, code_id: int) -> Code:
     marks word w as present.
 
     Ids run from 1 to 2**(2**n) - 2 (the empty and full word sets are not
-    codes). ``_code_from_bits`` checks n first, then refuses an id outside
-    that range, and does not check the words again one by one.
+    codes). An id that is not an int (a bool is not one) is refused here;
+    ``_code_from_bits`` then checks n, then refuses an id outside that
+    range, and does not check the words again one by one.
     """
+    if isinstance(code_id, bool) or not isinstance(code_id, int):
+        raise InvalidCodeError(f"a code id must be an int, got {code_id!r}")
     return _code_from_bits(n, code_id)
 
 

@@ -30,8 +30,7 @@ from neurocode import (
     verify_dictionary,
 )
 from neurocode.classify import (FacetWitness, IntersectionWitness, PseudomonomialWitness,
-                                _inside, _maximal_intervals_by_transform,
-                                _prime_sets_by_transform)
+                                _maximal_intervals, _minimal_nonfaces)
 from neurocode.codes import _clear_masks
 from neurocode.cli import run_command
 
@@ -404,6 +403,28 @@ class TestVerifyDictionary:
             mutated += 1
         assert mutated == 5
 
+    def test_gamma_delta_fails_when_the_prime_sets_gain_a_member(self):
+        # a non-maximal codeword of the complement reported as maximal gives
+        # the code's prime-sets an invented member; delta's reference reads
+        # only the code's words
+        mutated = 0
+        for code in random_codes(6, 9, seed=4675):
+            comp = code.complement
+            extra = min(comp.words - comp.maximal_codewords, default=None)
+            if extra is None:
+                continue
+            psets = prime_sets(code)
+            comp.__dict__["maximal_codewords"] = comp.maximal_codewords | {extra}
+            assert len(prime_sets(code)) == len(psets) + 1
+            report = verify_dictionary(code)
+            gamma_delta = report.checks[3]
+            assert gamma_delta.name == "gamma_delta" and not gamma_delta.passed
+            assert f"prime-sets {sorted(prime_sets(code))} vs {sorted(psets)}" \
+                in gamma_delta.detail
+            assert [c.passed for c in report.checks[:3]] == [True, True, True]
+            mutated += 1
+        assert mutated == 9
+
     def test_a_code_and_its_complement_die_with_their_last_reference(self):
         # the complement is cached one way, so no reference cycle keeps a code,
         # its complement and their cached artifacts alive until the collector runs
@@ -540,12 +561,13 @@ class TestVerifyDictionary:
 
 def intervals_by_transform(code):
     """Alpha's and beta's reference, on the transform of ``code``'s words."""
-    return _maximal_intervals_by_transform(_inside(code.words, code.n), code.n)
+    return _maximal_intervals(code.words, code.n)
 
 
 def prime_sets_by_transform(code):
-    """Delta's reference, on the transform of ``code``'s words."""
-    return _prime_sets_by_transform(_inside(code.words, code.n), code.n)
+    """Delta's reference: the minimal non-faces of the factor complex of
+    beta's reference."""
+    return _minimal_nonfaces(intervals_by_transform(code), code.n)
 
 
 class TestReferenceRoutes:
@@ -572,11 +594,14 @@ class TestReferenceRoutes:
                 assert reference == oracle_canonical_form(code)
 
     def test_delta_matches_a_face_scan(self):
-        codes = [*all_codes(3), *random_codes(5, 6, seed=4800), *random_codes(7, 3, seed=4807)]
+        t0 = time.perf_counter()
+        codes = [*all_codes(3), *random_codes(5, 6, seed=4800), *random_codes(7, 3, seed=4807),
+                 *random_codes(9, 3, seed=4809)]
         for code in codes:
             barred = all_prime_sets(code)  # is_face on [n] + B-bar, every B
             minimal = {b for b in barred if not any(a != b and a & ~b == 0 for a in barred)}
             assert prime_sets_by_transform(code) == {PolarFace(0, b) for b in minimal}
+        assert time.perf_counter() - t0 < 2
 
     def test_references_read_only_the_words(self, monkeypatch):
         cases = [c for n in range(6, 11) for c in random_codes(n, 3, seed=4820 + n)]
